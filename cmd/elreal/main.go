@@ -1,6 +1,6 @@
 // Command elreal runs a configured ephemeral-logging workload against the
-// REAL backend: a file-backed log device with group commit and fsync
-// durability (internal/realdev) driven by a wall-clock event loop
+// REAL backend: a file-backed log device with fsync durability
+// (internal/realdev) driven by a wall-clock event loop
 // (internal/realtime), in place of the paper's simulator. The same
 // configuration files elsim runs accepted here measure, instead of model,
 // the log's bandwidth, commit latency and minimum space.
@@ -50,9 +50,6 @@ func main() {
 		seed       = flag.Uint64("seed", 0, "override: random seed for the workload schedule")
 		compressed = flag.Bool("compressed", false, "use a 100x-compressed paper mix (10/50 ms transactions at 400 TPS)")
 		direct     = flag.String("direct", "auto", "direct I/O: auto|on|off")
-		groupMS    = flag.Float64("group-delay-ms", 0, "device group-commit timeout in ms (default 2)")
-		groupKB    = flag.Int("group-bytes", 0, "device group-commit size threshold in bytes (default 256 KiB)")
-		pipeline   = flag.Int("pipeline", 0, "fsync pipelining depth (default 2)")
 		sampleMS   = flag.Float64("sample-ms", 0, "sample the commit curve at this cadence in ms (0 = off)")
 		jsonPath   = flag.String("json", "", "write the machine-readable result to this path")
 		doRecover  = flag.Bool("recover", false, "recover from -dir instead of running a workload")
@@ -117,17 +114,12 @@ func main() {
 	}
 
 	rc := realdev.RunConfig{
-		Seed:     hc.Seed,
-		Dir:      *dir,
-		LM:       hc.LM,
-		Flush:    hc.Flush,
-		Workload: hc.Workload,
-		Device: realdev.Options{
-			Direct:     realdev.DirectMode(*direct),
-			GroupDelay: sim.Time(*groupMS * float64(sim.Millisecond)),
-			GroupBytes: *groupKB,
-			Pipeline:   *pipeline,
-		},
+		Seed:        hc.Seed,
+		Dir:         *dir,
+		LM:          hc.LM,
+		Flush:       hc.Flush,
+		Workload:    hc.Workload,
+		Device:      realdev.Options{Direct: realdev.DirectMode(*direct)},
 		SampleEvery: sim.Time(*sampleMS * float64(sim.Millisecond)),
 	}
 

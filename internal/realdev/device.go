@@ -14,7 +14,6 @@ import (
 	"ellog/internal/obs"
 	"ellog/internal/obs/live"
 	"ellog/internal/realtime"
-	"ellog/internal/sim"
 )
 
 // DirectMode selects how the log file is opened.
@@ -41,19 +40,13 @@ type Options struct {
 	SlotBytes int
 	// Direct selects O_DIRECT handling; empty means DirectAuto.
 	Direct DirectMode
-	// GroupBytes dispatches the pending batch once this many payload bytes
-	// accumulate; <=0 means 256 KiB.
-	GroupBytes int
-	// GroupDelay dispatches a non-empty pending batch after this much loop
-	// time even if GroupBytes was not reached — the device-level group
-	// commit timeout; <=0 means 2 ms.
-	GroupDelay sim.Time
-	// Pipeline is the number of dispatched batches that may be in flight to
-	// the fsync worker before dispatch blocks (commit pipelining depth à la
-	// BtrLog: batch N+1 fills and ships while batch N's fsync runs); <=0
-	// means 2.
-	Pipeline int
 }
+
+// syncQueue is the syncer channel's buffer. The batching rule keeps at most
+// one batch in flight and Seal may add one behind it; two slots let both be
+// handed over in one loop turn, before the syncer has picked up the first,
+// without blocking the loop.
+const syncQueue = 2
 
 func (o Options) withDefaults() (Options, error) {
 	if o.SlotBytes <= 0 || o.SlotBytes%diskAlign != 0 {
@@ -65,15 +58,6 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Direct != DirectAuto && o.Direct != DirectOn && o.Direct != DirectOff {
 		return o, fmt.Errorf("realdev: unknown direct mode %q", o.Direct)
 	}
-	if o.GroupBytes <= 0 {
-		o.GroupBytes = 256 << 10
-	}
-	if o.GroupDelay <= 0 {
-		o.GroupDelay = 2 * sim.Millisecond
-	}
-	if o.Pipeline <= 0 {
-		o.Pipeline = 2
-	}
 	return o, nil
 }
 
@@ -84,7 +68,7 @@ type RealStats struct {
 	SlotBytes      int     `json:"slot_bytes"`       //
 	Batches        uint64  `json:"batches"`          // fsync groups shipped
 	Fsyncs         uint64  `json:"fsyncs"`           // == Batches (one fsync per group)
-	PipelineStalls uint64  `json:"pipeline_stalls"`  // dispatches that blocked on a full pipeline
+	PipelineStalls uint64  `json:"pipeline_stalls"`  // hand-overs that blocked on a full syncer queue
 	MaxBatchBlocks int     `json:"max_batch_blocks"` // largest group shipped
 	BatchMeanMS    float64 `json:"batch_mean_ms"`    // wall time per group, write+fsync
 	BatchP50MS     float64 `json:"batch_p50_ms"`     //
@@ -123,6 +107,24 @@ type batch struct {
 // goroutine; completions are delivered back to it via realtime.Loop.Post, so
 // the manager keeps the single-threaded discipline it has under simulation.
 // One background goroutine — the syncer — performs the pwrite+fsync work.
+//
+// The device has no group-commit policy of its own: the logging manager alone
+// decides when a block is written, and the device writes what it is handed.
+// Blocks group only because a write cannot start while the previous fsync is
+// running: whenever the syncer is free, everything pending goes to it at the
+// end of the loop turn, so one batch carries the writes of a turn, or what
+// queued while the previous fsync ran plus what its completion callbacks
+// issued (commit pipelining as in BtrLog: ship what is queued when the
+// previous fsync returns, ack only after durability). Handing over any
+// earlier — inside Write, or ahead of the callbacks — lets a closed loop of
+// clients settle into two alternating groups of arbitrary sizes, and
+// throughput then depends on the split a run happens to fall into; at the
+// end of the turn there is one way to settle, every client in each batch.
+//
+// Ordering, per block: frame pwrite → fsync returns → completion Post →
+// done(err) on the loop goroutine. Lifecycle: open until Close or Abandon,
+// closed after; Write on a closed device is an invariant violation and
+// panics. Neither Close nor Abandon runs the loop or a completion callback.
 type Device struct {
 	loop *realtime.Loop
 	opt  Options
@@ -132,17 +134,17 @@ type Device struct {
 	direct bool
 
 	// Loop-goroutine state.
-	nextID     blockdev.BlockID
-	gens       []int             // generation of each allocated slot, by id-1
-	sized      int64             // file length already reserved via grow
-	grow       func(int64) error // extends the file; d.f.Truncate outside tests
-	growErr    error             // last failed extension; cleared when a retry succeeds
-	cur        *batch
-	batchEpoch uint64 // invalidates the pending GroupDelay timer on dispatch
-	inflight   int    // batches dispatched but not yet completed
-	pending    map[blockdev.BlockID]struct{}
-	pool       [][]byte
-	closed     bool
+	nextID   blockdev.BlockID
+	gens     []int             // generation of each allocated slot, by id-1
+	sized    int64             // file length already reserved via grow
+	grow     func(int64) error // extends the file; d.f.Truncate outside tests
+	growErr  error             // last failed extension; cleared when a retry succeeds
+	cur      *batch            // writes waiting for the syncer to come free
+	handing  bool              // an end-of-turn hand-over is posted
+	inflight int               // batches handed over but not yet completed
+	pending  map[blockdev.BlockID]struct{}
+	pool     [][]byte
+	closed   bool
 
 	stats       blockdev.Stats
 	rs          RealStats
@@ -156,8 +158,9 @@ type Device struct {
 	met *devMetrics
 
 	// Syncer plumbing.
-	ch chan *batch
-	wg sync.WaitGroup
+	ch    chan *batch
+	wg    sync.WaitGroup
+	fsync func() error // d.f.Sync outside tests
 }
 
 // devMetrics bundles the device's live registry instruments.
@@ -212,9 +215,10 @@ func Open(loop *realtime.Loop, dir string, opt Options) (*Device, error) {
 		batchLat:    &metrics.Histogram{},
 		batchBlocks: &metrics.Histogram{},
 		batchBytes:  &metrics.Histogram{},
-		ch:          make(chan *batch, opt.Pipeline),
+		ch:          make(chan *batch, syncQueue),
 	}
 	d.grow = f.Truncate
+	d.fsync = f.Sync
 	d.stats.WritesPerGen = make(map[int]uint64)
 	d.pending = make(map[blockdev.BlockID]struct{})
 	d.rs.Direct = direct
@@ -266,7 +270,9 @@ func (d *Device) Alloc(gen int) blockdev.BlockID {
 }
 
 // Write frames the block image into a slot buffer and adds it to the
-// pending batch; done fires on the loop goroutine once the covering fsync
+// pending batch, which goes to the syncer at the end of this loop turn if the
+// syncer is free and otherwise at the end of the turn in which the fsync in
+// flight completes; done fires on the loop goroutine once the covering fsync
 // has returned. The data slice is copied before Write returns (the manager
 // reuses its encode buffer).
 func (d *Device) Write(id blockdev.BlockID, data []byte, done func(err error)) {
@@ -291,7 +297,11 @@ func (d *Device) Write(id blockdev.BlockID, data []byte, done func(err error)) {
 		d.stats.Writes++
 		d.stats.WritesPerGen[gen]++
 		d.stats.Failed++
-		d.loop.Post(func() { done(err) })
+		d.pending[id] = struct{}{}
+		d.loop.Post(func() {
+			delete(d.pending, id)
+			done(err)
+		})
 		return
 	}
 	buf := d.takeBuf()
@@ -310,27 +320,35 @@ func (d *Device) Write(id blockdev.BlockID, data []byte, done func(err error)) {
 	}
 	if d.cur == nil {
 		d.cur = &batch{}
-		epoch := d.batchEpoch
-		d.loop.After(d.opt.GroupDelay, func() {
-			if d.batchEpoch == epoch {
-				d.dispatch()
-			}
-		})
 	}
 	d.cur.writes = append(d.cur.writes, w)
 	d.cur.bytes += len(data)
-	if d.cur.bytes >= d.opt.GroupBytes {
-		d.dispatch()
-	}
+	d.handOver()
 }
 
+// handOver posts the one hand-over of this loop turn if there is a pending
+// batch and the syncer is free. Posted callbacks run ahead of the next
+// turn's timers, so the batch leaves as soon as the current handlers return.
+func (d *Device) handOver() {
+	if d.cur == nil || d.inflight > 0 || d.handing {
+		return
+	}
+	d.handing = true
+	d.loop.Post(func() {
+		d.handing = false
+		if d.inflight == 0 { // Seal may have shipped the batch meanwhile
+			d.dispatch()
+		}
+	})
+}
+
+// dispatch hands the pending batch, if any, to the syncer.
 func (d *Device) dispatch() {
 	b := d.cur
 	if b == nil {
 		return
 	}
 	d.cur = nil
-	d.batchEpoch++
 	stalled := len(d.ch) == cap(d.ch)
 	if stalled {
 		d.rs.PipelineStalls++
@@ -356,20 +374,14 @@ func (d *Device) dispatch() {
 	d.ch <- b
 }
 
-// Seal dispatches the pending partial batch, if any, without waiting for
-// the group timeout. The run harness calls it at the horizon before
-// draining in-flight completions.
+// Seal hands the pending batch, if any, to the syncer now, even with a batch
+// in flight. Crash tests call it so that Abandon leaves those writes on disk
+// but unacknowledged; a clean shutdown has no use for it.
 func (d *Device) Seal() { d.dispatch() }
 
-// InFlight reports dispatched-but-uncompleted batches plus the pending
-// partial batch. Loop-goroutine only.
-func (d *Device) InFlight() int {
-	n := d.inflight
-	if d.cur != nil {
-		n++
-	}
-	return n
-}
+// InFlight reports writes issued but not yet acknowledged. Loop-goroutine
+// only.
+func (d *Device) InFlight() int { return len(d.pending) }
 
 func (d *Device) syncer() {
 	defer d.wg.Done()
@@ -383,7 +395,7 @@ func (d *Device) syncer() {
 			}
 		}
 		if err == nil {
-			err = d.f.Sync()
+			err = d.fsync()
 		}
 		ms := float64(time.Since(t0)) / float64(time.Millisecond)
 		b := b
@@ -392,9 +404,11 @@ func (d *Device) syncer() {
 }
 
 // complete runs on the loop goroutine: all stats mutation and completion
-// callbacks happen here, never on the syncer.
+// callbacks happen here, never on the syncer. What queued while this fsync
+// ran leaves at the end of the turn, with what the callbacks add to it.
 func (d *Device) complete(b *batch, err error, ms float64) {
 	d.inflight--
+	d.handOver()
 	d.batchLat.Observe(ms)
 	if d.met != nil {
 		d.met.fsyncLat.Observe(ms)
@@ -451,8 +465,9 @@ func (d *Device) Writes() uint64 { return d.stats.Writes }
 // PendingSlots returns the ids of slots with an issued but uncompleted
 // write, in ascending order. After Seal followed by Abandon, these are
 // exactly the slots whose contents reached the file (the syncer finishes
-// dispatched batches) but whose durability was never acknowledged to the
-// manager — the slots a crash is allowed to tear. Loop-goroutine only.
+// dispatched batches; a write failed for want of file space never starts)
+// but whose durability was never acknowledged to the manager — the slots a
+// crash is allowed to tear. Loop-goroutine only.
 func (d *Device) PendingSlots() []blockdev.BlockID {
 	ids := make([]blockdev.BlockID, 0, len(d.pending))
 	for id := range d.pending {
@@ -468,20 +483,20 @@ func (d *Device) Dir() string { return d.dir }
 // NumSlots reports how many slots have been allocated.
 func (d *Device) NumSlots() int { return int(d.nextID) }
 
-// Close dispatches any pending batch, waits for the syncer to drain, runs
-// the remaining completions, and closes the file. Must be called on the
-// loop goroutine with the loop not inside Run.
+// Close closes the file of a drained device: the owner of the lifecycle
+// (Live.Shutdown) has run the loop until InFlight reported zero. It neither
+// runs the loop nor fires a completion; writes still unacknowledged are a
+// failed drain, reported as an error after the crash path has released the
+// syncer and the file.
 func (d *Device) Close() error {
-	if d.closed {
-		return nil
+	n := len(d.pending)
+	if err := d.Abandon(); err != nil {
+		return err
 	}
-	d.dispatch()
-	d.closed = true
-	close(d.ch)
-	d.wg.Wait()
-	for d.loop.Step() {
+	if n > 0 {
+		return fmt.Errorf("realdev: closed with %d writes unacknowledged", n)
 	}
-	return d.f.Close()
+	return nil
 }
 
 // Abandon models a crash: the pending batch — writes the manager issued but
@@ -495,7 +510,6 @@ func (d *Device) Abandon() error {
 		return nil
 	}
 	d.cur = nil
-	d.batchEpoch++
 	d.closed = true
 	close(d.ch)
 	d.wg.Wait()

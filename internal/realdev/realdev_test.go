@@ -4,6 +4,9 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"ellog/internal/blockdev"
@@ -63,10 +66,24 @@ func TestSlotForBounds(t *testing.T) {
 	}
 }
 
-// drainDevice runs the loop until the device has no in-flight work.
+// openTestDevice opens a buffered-I/O device with 8 KiB slots on a fresh
+// loop and directory.
+func openTestDevice(t *testing.T) (*realtime.Loop, *Device, string) {
+	t.Helper()
+	dir := t.TempDir()
+	loop := realtime.New(1)
+	dev, err := Open(loop, dir, Options{SlotBytes: 8192, Direct: DirectOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loop, dev, dir
+}
+
+// drainDevice runs the loop until every issued write is acknowledged. It
+// never calls Seal: queued writes must ship on their own when the fsync ahead
+// of them completes.
 func drainDevice(t *testing.T, loop *realtime.Loop, dev *Device) {
 	t.Helper()
-	dev.Seal()
 	deadline := loop.Now() + 5*sim.Second
 	for dev.InFlight() > 0 && loop.Now() < deadline {
 		loop.Run(loop.Now() + sim.Millisecond)
@@ -92,25 +109,17 @@ func writeTestBlocks(t *testing.T, loop *realtime.Loop, dev *Device) map[blockde
 		commit := logrec.NewTxRecord(lsn, loop.Now(), logrec.KindCommit, logrec.TxID(i+1), 8)
 		recs := []*logrec.Record{begin, data, commit}
 		blocks[id] = recs
-		completed := false
 		dev.Write(id, logrec.EncodeBlock(recs), func(err error) {
 			if err != nil {
 				t.Errorf("write %d failed: %v", id, err)
 			}
-			completed = true
 		})
-		_ = completed
 	}
 	return blocks
 }
 
 func TestDeviceWriteAndReadImage(t *testing.T) {
-	dir := t.TempDir()
-	loop := realtime.New(1)
-	dev, err := Open(loop, dir, Options{SlotBytes: 8192, Direct: DirectOff})
-	if err != nil {
-		t.Fatal(err)
-	}
+	loop, dev, dir := openTestDevice(t)
 	blocks := writeTestBlocks(t, loop, dev)
 	dev.Alloc(1) // allocated but never written: must read back as skipped
 	drainDevice(t, loop, dev)
@@ -163,12 +172,7 @@ func TestDeviceWriteAndReadImage(t *testing.T) {
 }
 
 func TestReadImageTornTail(t *testing.T) {
-	dir := t.TempDir()
-	loop := realtime.New(1)
-	dev, err := Open(loop, dir, Options{SlotBytes: 8192, Direct: DirectOff})
-	if err != nil {
-		t.Fatal(err)
-	}
+	loop, dev, dir := openTestDevice(t)
 	writeTestBlocks(t, loop, dev)
 	drainDevice(t, loop, dev)
 	if err := dev.Close(); err != nil {
@@ -305,7 +309,7 @@ func TestRunRealWorkloadAndRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	live.Loop.Run(cfg.Workload.Runtime)
-	live.Drain(0)
+	live.Drain()
 	st := live.Gen.Stats()
 	if st.Committed == 0 {
 		t.Fatal("real run committed no transactions")
@@ -317,12 +321,50 @@ func TestRunRealWorkloadAndRecover(t *testing.T) {
 	if rs.Batches == 0 {
 		t.Fatal("real run shipped no fsync batches")
 	}
-	if err := live.Dev.Close(); err != nil {
+	if err := live.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
 	rres := checkRecovery(t, live, dir)
 	if rres.Winners == 0 {
 		t.Fatal("recovery found no winners after a committing run")
+	}
+}
+
+// TestShutdownWithArmedTimer is the regression test for the shutdown race:
+// a timer still armed at shutdown that would write to the log (here, as a
+// manager group-commit timeout does, by sealing a buffer). Closing the device
+// used to run the loop, so the timer fired into a closed device and panicked
+// with "Write after Close". Armed before the drain it may fire while the
+// device still accepts writes; armed after it must never fire at all.
+func TestShutdownWithArmedTimer(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		afterDrain bool
+	}{{"armed before drain", false}, {"armed after drain", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := realTestConfig(dir, 150*sim.Millisecond)
+			live, err := Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live.Loop.Run(cfg.Workload.Runtime)
+			if tc.afterDrain {
+				live.Drain()
+			}
+			tid := logrec.TxID(live.Gen.Stats().Started + 1)
+			live.Loop.After(0, func() {
+				live.LM.Begin(tid)
+				live.LM.Quiesce()
+			})
+			if err := live.Shutdown(); err != nil {
+				t.Fatal(err)
+			}
+			if n := live.Dev.InFlight(); n != 0 {
+				t.Fatalf("%d writes unacknowledged after a clean shutdown", n)
+			}
+			checkRecovery(t, live, dir)
+		})
 	}
 }
 
@@ -335,17 +377,24 @@ func TestRunRealWorkloadAndRecover(t *testing.T) {
 func TestTornBlockRecovery(t *testing.T) {
 	dir := t.TempDir()
 	cfg := realTestConfig(dir, 350*sim.Millisecond)
-	// Batch rarely, so the crash reliably catches synced-but-unacked
-	// writes: the final partial batch is sealed to disk by the abandon
-	// path with its completions never delivered.
-	cfg.Device.GroupDelay = 100 * sim.Millisecond
 	live, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	live.Loop.Run(cfg.Workload.Runtime)
-	live.Dev.Seal()
+	// Put a block in flight that the crash is certain to catch: transactions
+	// that only BEGIN, one block's worth, so the manager seals and writes a
+	// block here, on the loop goroutine, where no completion can run before
+	// the crash. Seal hands it to the syncer even behind a batch in flight;
+	// Abandon lets the syncer finish and delivers nothing.
+	p := live.LM.Params()
+	tid := logrec.TxID(live.Gen.Stats().Started)
+	for i := 0; i <= p.BlockPayload/p.TxRecSize; i++ {
+		tid++
+		live.LM.Begin(tid)
+	}
 	pending := live.Dev.PendingSlots()
+	live.Dev.Seal()
 	if err := live.Dev.Abandon(); err != nil {
 		t.Fatal(err)
 	}
@@ -407,12 +456,7 @@ func TestTornBlockRecovery(t *testing.T) {
 // instead of being swallowed, and a later successful extension must
 // clear the condition.
 func TestAllocGrowFailureSurfacesOnWrite(t *testing.T) {
-	dir := t.TempDir()
-	loop := realtime.New(1)
-	dev, err := Open(loop, dir, Options{SlotBytes: 8192, Direct: DirectOff})
-	if err != nil {
-		t.Fatal(err)
-	}
+	loop, dev, _ := openTestDevice(t)
 	defer dev.Close()
 
 	realGrow := dev.grow
@@ -430,8 +474,7 @@ func TestAllocGrowFailureSurfacesOnWrite(t *testing.T) {
 		got, completed = err, true
 	})
 	inWrite = false
-	for loop.Step() {
-	}
+	drainDevice(t, loop, dev)
 	if !completed {
 		t.Fatal("write against an ungrown slot never completed")
 	}
@@ -460,4 +503,183 @@ func TestAllocGrowFailureSurfacesOnWrite(t *testing.T) {
 	if st := dev.Stats(); st.Failed != 1 || st.Writes != 2 {
 		t.Fatalf("Stats after recovery = %+v, want 2 writes, 1 failed", st)
 	}
+}
+
+// goid returns the calling goroutine's id, parsed from its stack header
+// ("goroutine N [running]:") — enough to tell the loop goroutine from the
+// syncer in a test.
+func goid() string {
+	var buf [64]byte
+	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
+}
+
+// TestOneBatchingRule pins the device's only grouping rule: whenever the
+// syncer is free, everything pending goes to it at the end of the loop turn.
+// N writes in one turn therefore make exactly one batch; writes issued while
+// that fsync runs wait for it and leave in one second batch together with
+// what its completion callbacks issue; no Seal and no timer is involved, and
+// every done fires on the loop goroutine after the fsync that covers it has
+// returned.
+func TestOneBatchingRule(t *testing.T) {
+	const n = 6
+	loop, dev, _ := openTestDevice(t)
+	var synced atomic.Int32 // fsyncs that have returned
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	realSync := dev.fsync
+	dev.fsync = func() error {
+		if synced.Load() == 0 {
+			entered <- struct{}{}
+			<-release // hold the first fsync open
+		}
+		err := realSync()
+		synced.Add(1)
+		return err
+	}
+	loopG := goid()
+	syncedAtDone := make([]int32, 0, n+2)
+	write := func(then func()) {
+		id := dev.Alloc(0)
+		dev.Write(id, []byte("block"), func(err error) {
+			if err != nil {
+				t.Errorf("write %d failed: %v", id, err)
+			}
+			if g := goid(); g != loopG {
+				t.Errorf("done for block %d ran on goroutine %s, loop is %s", id, g, loopG)
+			}
+			syncedAtDone = append(syncedAtDone, synced.Load())
+			if then != nil {
+				then()
+			}
+		})
+	}
+	// One turn, syncer idle: n writes, the first of which issues one more
+	// from its completion callback.
+	write(func() { write(nil) })
+	for i := 1; i < n; i++ {
+		write(nil)
+	}
+	if rs := dev.RealStats(); rs.Batches != 0 {
+		t.Fatalf("%d batches handed over inside Write, want the hand-over at the end of the turn", rs.Batches)
+	}
+	if got := len(dev.PendingSlots()); got != n || dev.InFlight() != n {
+		t.Fatalf("PendingSlots=%d InFlight=%d, want %d", got, dev.InFlight(), n)
+	}
+	loop.Run(loop.Now() + sim.Millisecond)
+	<-entered
+	if rs := dev.RealStats(); rs.Batches != 1 || rs.MaxBatchBlocks != n {
+		t.Fatalf("after a turn of %d writes: %d batches (max %d blocks), want one batch of all of them",
+			n, rs.Batches, rs.MaxBatchBlocks)
+	}
+	// While that fsync runs: one more write, which must wait for it.
+	write(nil)
+	loop.Run(loop.Now() + 2*sim.Millisecond)
+	if rs := dev.RealStats(); rs.Batches != 1 || len(syncedAtDone) != 0 {
+		t.Fatalf("%d batches, %d completions with the first fsync still running, want 1 and 0",
+			rs.Batches, len(syncedAtDone))
+	}
+	close(release)
+	drainDevice(t, loop, dev)
+	if len(syncedAtDone) != n+2 {
+		t.Fatalf("%d of %d completions fired", len(syncedAtDone), n+2)
+	}
+	// The write queued during the first fsync and the one issued by the
+	// first batch's callback left together.
+	rs := dev.RealStats()
+	if rs.Batches != 2 || rs.Fsyncs != 2 || rs.MaxBatchBlocks != n || rs.BatchBlocksMean != float64(n+2)/2 {
+		t.Fatalf("batches=%d fsyncs=%d max=%d mean=%v, want 2, 2, %d and %v",
+			rs.Batches, rs.Fsyncs, rs.MaxBatchBlocks, rs.BatchBlocksMean, n, float64(n+2)/2)
+	}
+	for i, s := range syncedAtDone {
+		want := int32(1)
+		if i >= n { // the two blocks of the second batch
+			want = 2
+		}
+		if s < want {
+			t.Errorf("done %d fired with %d fsyncs returned, want at least %d", i, s, want)
+		}
+	}
+	if err := dev.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWriteOrderingAndSeal holds an fsync open to check each arrow of the
+// write path — the frame is in the file before fsync is called, no done
+// fires while the fsync has not returned — and that Seal hands the queued
+// remainder over behind the batch in flight without waiting for it.
+func TestWriteOrderingAndSeal(t *testing.T) {
+	loop, dev, dir := openTestDevice(t)
+	entered, release := make(chan bool, 2), make(chan struct{})
+	realSync := dev.fsync
+	dev.fsync = func() error {
+		slot := make([]byte, 8192)
+		f, err := os.Open(filepath.Join(dir, logName))
+		if err == nil {
+			_, err = f.ReadAt(slot, 0)
+			f.Close()
+		}
+		_, _, framed := parseFrame(slot)
+		entered <- err == nil && framed
+		<-release
+		return realSync()
+	}
+	fired := 0
+	done := func(err error) {
+		if err != nil {
+			t.Errorf("write failed: %v", err)
+		}
+		fired++
+	}
+	a, b := dev.Alloc(0), dev.Alloc(0)
+	dev.Write(a, []byte("first"), done)
+	loop.Run(loop.Now() + sim.Millisecond) // the turn ends: the block is handed over
+	if !<-entered {
+		t.Fatal("fsync was called before the block's frame was in the file")
+	}
+	dev.Write(b, []byte("second"), done)
+	loop.Run(loop.Now() + 5*sim.Millisecond)
+	if fired != 0 {
+		t.Fatalf("%d completions fired while the covering fsync had not returned", fired)
+	}
+	if rs := dev.RealStats(); rs.Batches != 1 {
+		t.Fatalf("%d batches with the syncer busy, want the second write queued", rs.Batches)
+	}
+	dev.Seal()
+	if rs := dev.RealStats(); rs.Batches != 2 {
+		t.Fatalf("%d batches after Seal, want the queued write handed over behind the one in flight", rs.Batches)
+	}
+	if p := dev.PendingSlots(); len(p) != 2 || p[0] != a || p[1] != b {
+		t.Fatalf("PendingSlots = %v, want [%d %d]", p, a, b)
+	}
+	close(release)
+	drainDevice(t, loop, dev)
+	if fired != 2 {
+		t.Fatalf("%d of 2 completions fired after the fsyncs returned", fired)
+	}
+	if err := dev.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCloseIsNotADrain pins the closed state: Close on a device with writes
+// unacknowledged reports them instead of running the loop, fires no
+// completion, and a Write afterwards is an invariant violation.
+func TestCloseIsNotADrain(t *testing.T) {
+	loop, dev, _ := openTestDevice(t)
+	fired := false
+	loop.At(0, func() { fired = true }) // due: a Close that ran the loop would fire it
+	id := dev.Alloc(0)
+	dev.Write(id, []byte("unacked"), func(error) { fired = true })
+	if err := dev.Close(); err == nil {
+		t.Fatal("Close with an unacknowledged write returned nil")
+	}
+	if fired {
+		t.Fatal("Close ran the loop or a completion callback")
+	}
+	defer func() {
+		if r := recover(); r != "realdev: Write after Close" {
+			t.Fatalf("Write after Close: recovered %v, want the invariant panic", r)
+		}
+	}()
+	dev.Write(id, []byte("late"), func(error) {})
 }

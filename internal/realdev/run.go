@@ -29,9 +29,6 @@ type RunConfig struct {
 	// transaction count at this cadence — the commit curve the sim-vs-real
 	// comparison is shape-gated on.
 	SampleEvery sim.Time
-	// DrainGrace bounds the post-horizon wait for in-flight batches to
-	// complete (default 2 s of wall time).
-	DrainGrace sim.Time
 	// Tracer, when non-nil, receives every manager trace event. The trace
 	// clock is the loop's monotonic sim.Time (µs since start), so the
 	// streams eltrace and the Perfetto exporter consume are shaped exactly
@@ -39,10 +36,8 @@ type RunConfig struct {
 	Tracer trace.Sink
 	// Metrics, when non-nil, arms the live registry: the device registers
 	// its fsync/batch instruments and a poller copies the canonical schema
-	// probes into it every MetricsEvery.
+	// probes into it every metricsEvery.
 	Metrics *live.Registry
-	// MetricsEvery is the probe poll cadence for Metrics (default 250 ms).
-	MetricsEvery sim.Time
 	// ProbeEvery, when positive, attaches the simulated-time probe sampler
 	// to the loop at this cadence; Result.Probes then carries the same
 	// downsampled ellog_* series an elsim -probes-out run produces.
@@ -52,6 +47,14 @@ type RunConfig struct {
 	// metrics server and watch ticker with access to the loop clock.
 	OnLive func(*Live)
 }
+
+const (
+	// drainGrace bounds the post-horizon wait, in wall time, for issued
+	// writes to be acknowledged.
+	drainGrace = 2 * sim.Second
+	// metricsEvery is the probe poll cadence for RunConfig.Metrics.
+	metricsEvery = 250 * sim.Millisecond
+)
 
 // CurvePoint is one sample of the cumulative commit count.
 type CurvePoint struct {
@@ -79,6 +82,13 @@ func (r Result) Insufficient() bool {
 
 // Live exposes the assembled components of a real-backend run, for callers
 // that crash it mid-flight (torn-block recovery tests) or inspect state.
+//
+// Live owns the run's lifecycle. Open: the caller drives Loop.Run and anyone
+// on the loop may write. Draining (Drain): the manager is quiesced and the
+// loop runs only until every issued write is acknowledged; completions and
+// timers that fire meanwhile may issue further writes, which are accepted.
+// Closed (Shutdown, or Dev.Abandon for a crash): the file is closed and the
+// loop is never run again, so a timer still armed never reaches the device.
 type Live struct {
 	Loop  *realtime.Loop
 	Dev   *Device
@@ -149,19 +159,15 @@ func Build(cfg RunConfig) (*Live, error) {
 		l.Poller = live.NewPoller(cfg.Metrics,
 			obs.StandardProbes(obs.ProbeTargets{LM: m, Dev: dev, Flush: flush}))
 		up := cfg.Metrics.Gauge(obs.MetricUptimeSeconds, "")
-		every := cfg.MetricsEvery
-		if every <= 0 {
-			every = 250 * sim.Millisecond
-		}
 		var tick func()
 		tick = func() {
 			l.Poller.Collect()
 			up.Set(loop.Now().Seconds())
 			if loop.Now() < cfg.Workload.Runtime {
-				loop.After(every, tick)
+				loop.After(metricsEvery, tick)
 			}
 		}
-		loop.After(every, tick)
+		loop.After(metricsEvery, tick)
 	}
 	if cfg.ProbeEvery > 0 {
 		l.Sampler = obs.NewSampler(loop, cfg.ProbeEvery, 0)
@@ -174,8 +180,7 @@ func Build(cfg RunConfig) (*Live, error) {
 }
 
 // Run executes the configuration against the real backend: drive the loop
-// to the workload horizon in wall time, seal and drain the device, and
-// close it cleanly.
+// to the workload horizon in wall time, then shut down cleanly.
 func Run(cfg RunConfig) (Result, error) {
 	live, err := Build(cfg)
 	if err != nil {
@@ -199,7 +204,7 @@ func Run(cfg RunConfig) (Result, error) {
 		live.Loop.After(cfg.SampleEvery, sample)
 	}
 	live.Loop.Run(cfg.Workload.Runtime)
-	live.Drain(cfg.DrainGrace)
+	err = live.Shutdown()
 	if live.Poller != nil {
 		// One final collection so the registry's last reading covers the
 		// drained end state, not the last cadence tick.
@@ -214,21 +219,23 @@ func Run(cfg RunConfig) (Result, error) {
 	if live.Sampler != nil {
 		res.Probes = live.Sampler.Series()
 	}
-	if err := live.Dev.Close(); err != nil {
-		return res, err
-	}
-	return res, nil
+	return res, err
 }
 
-// Drain seals the device's pending batch and runs the loop until every
-// dispatched batch has completed or grace (default 2 s) expires.
-func (l *Live) Drain(grace sim.Time) {
-	if grace <= 0 {
-		grace = 2 * sim.Second
-	}
-	l.Dev.Seal()
-	deadline := l.Loop.Now() + grace
+// Drain quiesces the manager — every open buffer is sealed, so nothing waits
+// on a group-commit timer — and runs the loop until every issued write is
+// acknowledged or drainGrace expires.
+func (l *Live) Drain() {
+	l.LM.Quiesce()
+	deadline := l.Loop.Now() + drainGrace
 	for l.Dev.InFlight() > 0 && l.Loop.Now() < deadline {
 		l.Loop.Run(l.Loop.Now() + sim.Millisecond)
 	}
+}
+
+// Shutdown drains and closes the device. It fails if the drain ran out of
+// grace with writes unacknowledged. The loop must not be run afterwards.
+func (l *Live) Shutdown() error {
+	l.Drain()
+	return l.Dev.Close()
 }

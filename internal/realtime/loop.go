@@ -141,22 +141,7 @@ func (l *Loop) Run(until sim.Time) {
 	}
 }
 
-// Step runs one pass of posted callbacks plus any due timer events without
-// sleeping, and reports whether anything fired. Drain loops use it to
-// quiesce in-flight completions after Run returns.
-func (l *Loop) Step() bool {
-	fired := l.drainPosted()
-	now := l.Now()
-	for len(l.evs) > 0 && l.evs[0].at <= now {
-		e := heap.Pop(&l.evs).(*ev)
-		l.fired++
-		e.fn()
-		fired = true
-	}
-	return fired
-}
-
-func (l *Loop) drainPosted() bool {
+func (l *Loop) drainPosted() {
 	l.mu.Lock()
 	posts := l.posted
 	l.posted = nil
@@ -164,7 +149,6 @@ func (l *Loop) drainPosted() bool {
 	for _, fn := range posts {
 		fn()
 	}
-	return len(posts) > 0
 }
 
 // --- timer heap ordered by (at, seq) ----------------------------------

@@ -91,18 +91,27 @@ func TestPostWakesRun(t *testing.T) {
 	}
 }
 
-func TestStepDrainsWithoutSleeping(t *testing.T) {
+// TestRunAtHorizonDrainsWithoutSleeping pins what drain loops rely on: a Run
+// whose horizon has already passed still makes one pass — posted callbacks
+// first, then due timers — and returns without sleeping; on an idle loop it
+// fires nothing.
+func TestRunAtHorizonDrainsWithoutSleeping(t *testing.T) {
 	l := New(1)
-	ran := false
-	l.Post(func() { ran = true })
-	if !l.Step() {
-		t.Fatal("Step reported nothing fired")
+	var got []string
+	l.At(0, func() { got = append(got, "timer") })
+	l.Post(func() { got = append(got, "post") })
+	l.After(3600*sim.Second, func() { got = append(got, "far") })
+	start := time.Now()
+	l.Run(0)
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Run at a passed horizon took %v; it must not sleep toward the far timer", took)
 	}
-	if !ran {
-		t.Fatal("posted callback did not run")
+	if len(got) != 2 || got[0] != "post" || got[1] != "timer" {
+		t.Fatalf("pass ran %v, want [post timer]", got)
 	}
-	if l.Step() {
-		t.Fatal("idle Step reported work")
+	l.Run(0)
+	if len(got) != 2 || l.Fired() != 1 {
+		t.Fatalf("idle pass ran work: %v, Fired=%d", got, l.Fired())
 	}
 }
 
