@@ -42,6 +42,21 @@ type block struct {
 	// log-disk head finishes writes in the order they were issued).
 	inflight []byte
 	seq      uint64
+	// spare is the byte buffer the block's last write displaced (or a failed
+	// write never deposited); the next write to the block copies into it
+	// instead of allocating.
+	spare []byte
+}
+
+// write is one outstanding block write. Completed writes go back to the
+// device's free list with their fire closure intact, so issuing a write
+// allocates nothing once as many are pooled as are ever in flight at once.
+type write struct {
+	b    *block
+	buf  []byte
+	f    WriteFault
+	done func(err error)
+	fire func() // d.complete(w), built once
 }
 
 // Stats aggregates device activity for the bandwidth figures.
@@ -84,6 +99,7 @@ type Device struct {
 	stats   Stats
 	inj     Injector
 	nextSeq uint64
+	idle    []*write // completed writes, reused LIFO
 }
 
 // New returns a device whose block writes complete latency after they are
@@ -142,38 +158,63 @@ func (d *Device) Write(id BlockID, data []byte, done func(err error)) {
 		f = d.inj.BlockWriteFault(b.gen, len(data))
 	}
 	b.pending = true
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	b.inflight = buf
+	w := d.newWrite()
+	w.b, w.f, w.done = b, f, done
+	w.buf = append(b.spare[:0], data...)
+	if w.buf == nil {
+		w.buf = []byte{} // an empty write still leaves durable (non-nil) contents
+	}
+	b.spare = nil
+	b.inflight = w.buf
 	d.nextSeq++
 	b.seq = d.nextSeq
-	d.eng.After(d.latency+f.Extra, func() {
-		b.pending = false
-		b.inflight = nil
-		d.stats.Writes++
-		d.stats.WritesPerGen[b.gen]++
-		if f.Fail {
-			d.stats.Failed++
-			if done != nil {
-				done(ErrWriteFault)
-			}
-			return
-		}
-		if f.CorruptMask != 0 && len(buf) > 0 {
-			off := f.CorruptOff
-			if off < 0 {
-				off = 0
-			}
-			off %= len(buf)
-			buf[off] ^= f.CorruptMask
-		}
-		b.data = buf
-		b.writes++
-		d.stats.Bytes += uint64(len(buf))
+	d.eng.After(d.latency+f.Extra, w.fire)
+}
+
+func (d *Device) newWrite() *write {
+	if n := len(d.idle); n > 0 {
+		w := d.idle[n-1]
+		d.idle = d.idle[:n-1]
+		return w
+	}
+	w := &write{}
+	w.fire = func() { d.complete(w) }
+	return w
+}
+
+// complete lands an outstanding write: the bytes become the block's durable
+// contents (or, on an injected failure, are dropped) and done is told.
+func (d *Device) complete(w *write) {
+	b, buf, f, done := w.b, w.buf, w.f, w.done
+	w.b, w.buf, w.done = nil, nil, nil
+	d.idle = append(d.idle, w)
+
+	b.pending = false
+	b.inflight = nil
+	d.stats.Writes++
+	d.stats.WritesPerGen[b.gen]++
+	if f.Fail {
+		d.stats.Failed++
+		b.spare = buf
 		if done != nil {
-			done(nil)
+			done(ErrWriteFault)
 		}
-	})
+		return
+	}
+	if f.CorruptMask != 0 && len(buf) > 0 {
+		off := f.CorruptOff
+		if off < 0 {
+			off = 0
+		}
+		off %= len(buf)
+		buf[off] ^= f.CorruptMask
+	}
+	b.data, b.spare = buf, b.data
+	b.writes++
+	d.stats.Bytes += uint64(len(buf))
+	if done != nil {
+		done(nil)
+	}
 }
 
 // TearOldestInFlight mutates the crash image as a torn write would: of all
@@ -220,7 +261,8 @@ func (d *Device) TearOldestInFlight(frac float64) (BlockID, bool) {
 
 // Read returns the durable contents of a block (nil if never written) —
 // used only by the recovery manager; the log is write-only in normal
-// operation.
+// operation. The slice is the device's own and is good until the block is
+// written again: a later write recycles the buffer an earlier one displaced.
 func (d *Device) Read(id BlockID) []byte {
 	b, ok := d.blocks[id]
 	if !ok {
@@ -275,7 +317,8 @@ func (d *Device) Stats() Stats {
 // RangeDurable calls fn for every block that has durable contents, in
 // allocation order (deterministic). This is the recovery manager's read
 // pass over the entire log area, including blocks the logging manager has
-// logically freed but not yet overwritten.
+// logically freed but not yet overwritten. Like Read, it lends fn the
+// device's own bytes.
 func (d *Device) RangeDurable(fn func(id BlockID, gen int, data []byte) bool) {
 	for id := BlockID(1); id <= d.nextID; id++ {
 		b := d.blocks[id]

@@ -6,10 +6,15 @@ package container
 // that the request nearest the drive's current position — in the circular
 // oid-distance sense the paper defines for flush locality — can be found in
 // O(log n) via Ceiling/Floor/Min/Max queries.
+//
+// Deleted nodes are kept on a free list (chained through left) and reused
+// by later inserts, as in Table: a flush queue churns one node per update,
+// and its size hovers around a steady backlog.
 type Treap[V any] struct {
 	root *treapNode[V]
 	n    int
 	rng  uint64
+	free *treapNode[V]
 }
 
 type treapNode[V any] struct {
@@ -68,7 +73,14 @@ func (t *Treap[V]) Put(key uint64, val V) bool {
 
 func (t *Treap[V]) insert(n *treapNode[V], key uint64, val V) (*treapNode[V], bool) {
 	if n == nil {
-		return &treapNode[V]{key: key, val: val, prio: t.nextPrio()}, true
+		n = t.free
+		if n == nil {
+			n = new(treapNode[V])
+		} else {
+			t.free = n.left
+		}
+		*n = treapNode[V]{key: key, val: val, prio: t.nextPrio()}
+		return n, true
 	}
 	var inserted bool
 	switch {
@@ -109,7 +121,10 @@ func (t *Treap[V]) delete(n *treapNode[V], key uint64) (*treapNode[V], bool) {
 	case key > n.key:
 		n.right, deleted = t.delete(n.right, key)
 	default:
-		return t.merge(n.left, n.right), true
+		merged := t.merge(n.left, n.right)
+		*n = treapNode[V]{left: t.free}
+		t.free = n
+		return merged, true
 	}
 	return n, deleted
 }

@@ -15,7 +15,7 @@ func liveRecords(m *Manager) uint64 {
 		if le.committed != nil {
 			reachable[le.committed] = true
 		}
-		for _, c := range le.uncommitted {
+		for c := le.uncommitted; c != nil; c = c.nextWriter {
 			reachable[c] = true
 		}
 		for _, c := range le.superseded {

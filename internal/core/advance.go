@@ -173,7 +173,7 @@ func (m *Manager) killVictim(g *generation) bool {
 		case (c.rec.Kind == logrec.KindCommit || c.rec.Kind == logrec.KindDecide) && c.tx.state == txCommitted:
 			// Only worth sacrificing if a flush can free something: a
 			// pinned DECIDE with no unflushed updates stays until unpinned.
-			if len(c.tx.oids) > 0 {
+			if c.tx.nCells > 0 {
 				victim = c
 				return false
 			}
@@ -204,7 +204,7 @@ func (m *Manager) forceFlushCell(c *cell) {
 		panic(fmt.Sprintf("core: force flush of non-committed record %v", c.rec))
 	}
 	target := c
-	if le, ok := m.lot.Get(uint64(c.rec.Obj)); ok && le.committed != nil && le.committed != c {
+	if le := c.obj; le.committed != nil && le.committed != c {
 		target = le.committed
 	}
 	// ForceFlush synchronously invokes the manager's Flushed callback,
@@ -214,19 +214,14 @@ func (m *Manager) forceFlushCell(c *cell) {
 }
 
 // forceFlushTx flushes every remaining update of a committed transaction,
-// retiring its LTT entry.
+// retiring its LTT entry. Each force flush disposes the cell at the head of
+// the chain — directly, or under BroadNonGarbage as part of the superseded
+// chain behind the object's newest version — so the loop ends, in ascending
+// oid order, with the chain empty and the entry retired from inside the
+// last flush completion (unless pinned).
 func (m *Manager) forceFlushTx(e *lttEntry) {
-	oids := m.sortedOids(e.oids)
-	for _, oid := range oids {
-		le, ok := m.lot.Get(uint64(oid))
-		if !ok || le.committed == nil || le.committed.tx != e {
-			// The version tracked for this oid is not e's; e's update was
-			// superseded and its oid set is stale only transiently.
-			delete(e.oids, oid)
-			continue
-		}
-		m.forceFlushCell(le.committed)
+	for e.state == txCommitted && e.cells != nil {
+		m.forceFlushCell(e.cells)
 	}
-	m.releaseOids(oids)
 	m.maybeRetire(e)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"ellog/internal/flushdisk"
 	"ellog/internal/logrec"
@@ -57,26 +56,21 @@ func (m *Manager) appendTail(gi int, c *cell, origin *slot) {
 	}
 	// Making space above can cascade into killing a transaction or force
 	// flushing an update — possibly the very record being appended. A cell
-	// that died meanwhile is garbage and must not enter the log again.
-	if m.cellDead(c) {
+	// that died meanwhile is garbage and must not enter the log again; it
+	// was detached, so unlink left recycling it to us.
+	if c.dead {
+		m.freeCell(c)
 		return
 	}
 	if b == g.pend {
-		b.cells = append(b.cells, c)
 		c.slot = nil // belongs to whichever block is written at the tail
 	} else {
 		c.slot = b.slot
-		if m.p.Steal || m.faulty {
-			// The steal policy flushes uncommitted updates once their
-			// records are durable (write-ahead rule), so the buffer must
-			// remember its cells until the write completes. Under fault
-			// injection the cells are also needed to resolve the buffer's
-			// records if the write is abandoned after exhausted retries.
-			b.cells = append(b.cells, c)
-		}
 	}
 	b.free -= c.rec.Size
 	b.recs = append(b.recs, c.rec)
+	b.cells = append(b.cells, c)
+	c.buf = b
 	src := c.gen
 	c.gen = gi
 	c.arrived = m.now()
@@ -101,32 +95,6 @@ func (m *Manager) appendTail(gi int, c *cell, origin *slot) {
 		b.commits = append(b.commits, c.tx)
 		m.armGroupCommitTimeout(g, b)
 	}
-}
-
-// cellDead reports whether a cell's record became garbage while the cell
-// was detached (mid-move or mid-append): its transaction was dropped, or
-// its update was superseded or force flushed.
-func (m *Manager) cellDead(c *cell) bool {
-	if c.tx.state == txAborted {
-		return true
-	}
-	if c.rec.Kind == logrec.KindData {
-		le, ok := m.lot.Get(uint64(c.rec.Obj))
-		if !ok {
-			return true
-		}
-		if le.committed == c || le.uncommitted[c.rec.Tx] == c {
-			return false
-		}
-		for _, old := range le.superseded {
-			if old == c {
-				return false
-			}
-		}
-		return true
-	}
-	e, ok := m.ltt.Get(uint64(c.rec.Tx))
-	return !ok || e.txCell != c
 }
 
 // armGroupCommitTimeout bounds how long a COMMIT may wait for its buffer
@@ -213,8 +181,8 @@ func (m *Manager) writePend(g *generation, s *slot) {
 	g.pend = nil
 	b.slot = s
 	s.state = slotFilling
-	for _, c := range b.cells {
-		if c.inList && c.slot == nil {
+	for i, c := range b.cells {
+		if c.rec == b.recs[i] && c.inList && c.slot == nil {
 			c.slot = s
 		}
 	}
@@ -235,32 +203,36 @@ func (m *Manager) writeOut(g *generation, b *buffer) {
 	}
 	s.state = slotInFlight
 	b.sealed = true
+	b.gen, b.attempt = g, 1
 	m.emit(trace.Event{Kind: trace.EvSeal, Gen: g.idx, N: len(b.recs)})
-	m.issueWrite(g, b, 1)
+	m.issueWrite(b)
 }
 
-// issueWrite encodes a sealed buffer and issues its block write (attempt 1
-// is the original issue; higher attempts are fault retries). The device
+// issueWrite encodes a sealed buffer and issues its block write. The device
 // copies the bytes synchronously (it must, to hold the durable crash
 // image), so one manager-wide encode buffer can be reused for every block
 // write — including retries, which re-encode because other writes borrow
 // the buffer during the backoff.
-func (m *Manager) issueWrite(g *generation, b *buffer, attempt int) {
+func (m *Manager) issueWrite(b *buffer) {
 	m.encBuf = logrec.AppendBlock(m.encBuf[:0], b.recs)
-	m.dev.Write(b.slot.id, m.encBuf, func(err error) {
-		if err != nil {
-			m.writeFailed(g, b, attempt)
-			return
-		}
-		m.writeDurable(g, b)
-	})
+	m.dev.Write(b.slot.id, m.encBuf, b.done)
+}
+
+// writeDone is every buffer's device completion (buffer.done).
+func (m *Manager) writeDone(b *buffer, err error) {
+	if err != nil {
+		m.writeFailed(b)
+		return
+	}
+	m.writeDurable(b)
 }
 
 // writeDurable handles a completed block write: the slot becomes durable,
 // refugee counts drop, and any COMMIT records riding in the buffer make
 // their transactions durable — the group-commit acknowledgement at the
 // paper's time t4.
-func (m *Manager) writeDurable(g *generation, b *buffer) {
+func (m *Manager) writeDurable(b *buffer) {
+	g := b.gen
 	b.slot.state = slotDurable
 	m.emit(trace.Event{Kind: trace.EvDurable, Gen: g.idx, N: len(b.recs)})
 	m.putToken(g)
@@ -280,17 +252,19 @@ func (m *Manager) writeDurable(g *generation, b *buffer) {
 // is reissued after an exponential backoff until the retry budget runs out,
 // then abandoned. The failed attempt already counted against the disk's
 // bandwidth stats — the disk did the work.
-func (m *Manager) writeFailed(g *generation, b *buffer, attempt int) {
+func (m *Manager) writeFailed(b *buffer) {
+	g := b.gen
 	m.writeErrors.Inc()
-	if attempt <= m.maxRetries {
+	if b.attempt <= m.maxRetries {
 		m.writeRetries.Inc()
-		m.emit(trace.Event{Kind: trace.EvRetry, Gen: g.idx, N: attempt})
-		m.clk.After(m.retryBackoff<<(attempt-1), func() {
-			m.issueWrite(g, b, attempt+1)
+		m.emit(trace.Event{Kind: trace.EvRetry, Gen: g.idx, N: b.attempt})
+		m.clk.After(m.retryBackoff<<(b.attempt-1), func() {
+			b.attempt++
+			m.issueWrite(b)
 		})
 		return
 	}
-	m.abandonWrite(g, b)
+	m.abandonWrite(b)
 }
 
 // abandonWrite gives up on a block whose write errored past the retry
@@ -301,11 +275,12 @@ func (m *Manager) writeFailed(g *generation, b *buffer, attempt int) {
 // are force flushed to the stable database, and committed transactions'
 // tx records are retired by flushing their remaining updates. Afterwards
 // nothing references the block, so its slot is reclaimable as all-garbage.
-func (m *Manager) abandonWrite(g *generation, b *buffer) {
+func (m *Manager) abandonWrite(b *buffer) {
+	g := b.gen
 	m.abandonedWrites.Inc()
-	for _, c := range b.cells {
-		if !c.inList {
-			continue
+	for i, c := range b.cells {
+		if c.rec != b.recs[i] || !c.inList {
+			continue // the record is garbage already
 		}
 		switch {
 		case c.tx.state == txActive || c.tx.state == txCommitting || c.tx.state == txPreparing:
@@ -377,6 +352,7 @@ func (m *Manager) claimGuarded(g *generation) *slot {
 		// emergency block instead and record the stall — any run where
 		// this fires is treated as having insufficient space.
 		m.refugeeStalls.Inc()
+		m.noteInsufficient()
 		m.emergencyGrow(g)
 	}
 }
@@ -425,6 +401,7 @@ func (m *Manager) emergencyGrow(g *generation) {
 	g.epochEmerg++
 	m.emergencyBlocks.Inc()
 	m.emit(trace.Event{Kind: trace.EvResize, Gen: g.idx, N: 1})
+	m.noteInsufficient()
 }
 
 // commitDurable is the moment a transaction actually commits: its COMMIT
@@ -449,6 +426,8 @@ func (m *Manager) commitDurable(e *lttEntry) {
 	m.commits.Inc()
 	m.commitDelay.Observe((m.now() - e.commitAppAt).Seconds())
 	m.emit(trace.Event{Kind: trace.EvCommit, Gen: -1, Tx: e.tid})
+	// The entry can retire — and be recycled — before this returns.
+	onDurable := e.onDurable
 
 	if m.p.Mode == ModeFirewall {
 		// Per the paper's FW simulation, commitment makes all the
@@ -456,36 +435,21 @@ func (m *Manager) commitDurable(e *lttEntry) {
 		// bookkeeping is charged — an omission the paper notes favours
 		// FW). The stable database is still updated via the flush array so
 		// the two techniques impose the same flush load.
-		oids := m.sortedOids(e.oids)
-		for _, oid := range oids {
-			le, ok := m.lot.Get(uint64(oid))
-			if !ok {
-				continue
-			}
-			if c := le.uncommitted[e.tid]; c != nil {
-				m.flush.Enqueue(flushdisk.Request{Obj: oid, LSN: c.rec.LSN, Val: c.rec.Val, Tx: c.rec.Tx})
-				m.unlink(c)
-				delete(le.uncommitted, e.tid)
-			}
+		for c := e.cells; c != nil; {
+			next, le := c.txNext, c.obj
+			m.flush.Enqueue(flushdisk.Request{Obj: le.oid, LSN: c.rec.LSN, Val: c.rec.Val, Tx: c.rec.Tx})
+			le.removeWriter(c)
+			m.unlink(c)
 			if le.empty() {
-				m.lot.Delete(uint64(oid))
+				m.dropLot(le)
 			}
+			c = next
 		}
-		m.releaseOids(oids)
-		clear(e.oids)
 		m.retire(e)
 	} else {
-		oids := m.sortedOids(e.oids)
-		for _, oid := range oids {
-			le, ok := m.lot.Get(uint64(oid))
-			if !ok {
-				panic(fmt.Sprintf("core: committed oid %d missing from LOT", oid))
-			}
-			c := le.uncommitted[e.tid]
-			if c == nil {
-				panic(fmt.Sprintf("core: committed oid %d has no uncommitted cell for tx %d", oid, e.tid))
-			}
-			delete(le.uncommitted, e.tid)
+		for c := e.cells; c != nil; c = c.txNext {
+			le := c.obj
+			le.removeWriter(c)
 			if old := le.committed; old != nil {
 				if m.p.BroadNonGarbage {
 					// Without per-object version timestamps the superseded
@@ -494,10 +458,10 @@ func (m *Manager) commitDurable(e *lttEntry) {
 					le.superseded = append(le.superseded, old)
 				} else {
 					// The earlier committed update is superseded and
-					// garbage; its oid leaves its own transaction's LTT set.
+					// garbage; it leaves its own transaction's chain.
+					tx := old.tx
 					m.unlink(old)
-					delete(old.tx.oids, oid)
-					m.maybeRetire(old.tx)
+					m.maybeRetire(tx)
 				}
 			}
 			c.committed = true
@@ -507,18 +471,17 @@ func (m *Manager) commitDurable(e *lttEntry) {
 				// that clears the stolen marker; the record stays
 				// non-garbage until it lands.
 				c.cleanQueued = true
-				m.flush.Enqueue(flushdisk.Request{Obj: oid, LSN: c.rec.LSN, Val: c.rec.Val, Tx: c.rec.Tx, Clean: true})
+				m.flush.Enqueue(flushdisk.Request{Obj: le.oid, LSN: c.rec.LSN, Val: c.rec.Val, Tx: c.rec.Tx, Clean: true})
 			} else {
-				m.flush.Enqueue(flushdisk.Request{Obj: oid, LSN: c.rec.LSN, Val: c.rec.Val, Tx: c.rec.Tx})
+				m.flush.Enqueue(flushdisk.Request{Obj: le.oid, LSN: c.rec.LSN, Val: c.rec.Val, Tx: c.rec.Tx})
 			}
 		}
-		m.releaseOids(oids)
-		if len(e.oids) == 0 {
+		if e.nCells == 0 {
 			m.maybeRetire(e) // read-only transaction (unless pinned)
 		}
 	}
-	if e.onDurable != nil {
-		e.onDurable()
+	if onDurable != nil {
+		onDurable()
 	}
 	m.touchMem()
 }
@@ -548,7 +511,7 @@ func (m *Manager) Flushed(req flushdisk.Request) {
 		return
 	}
 	if req.Stolen {
-		if c := le.uncommitted[req.Tx]; c != nil && c.rec.LSN == req.LSN {
+		if c := le.writerCell(req.Tx); c != nil && c.rec.LSN == req.LSN {
 			c.flushed = true // undo information retained until commit/abort
 			return
 		}
@@ -564,53 +527,32 @@ func (m *Manager) Flushed(req flushdisk.Request) {
 	if c == nil || c.rec.LSN != req.LSN {
 		return // stale completion; a newer version superseded this one
 	}
-	m.unlink(c)
+	tx := c.tx
 	le.committed = nil
-	delete(c.tx.oids, req.Obj)
-	m.maybeRetire(c.tx)
+	m.unlink(c)
+	m.maybeRetire(tx)
 	// The flushed version now anchors recovery even without version
 	// timestamps: every retained older version becomes garbage.
 	for _, old := range le.superseded {
 		// A superseded cell caught detached mid-move still becomes garbage.
+		tx := old.tx
 		m.unlink(old)
-		delete(old.tx.oids, req.Obj)
-		m.maybeRetire(old.tx)
+		m.maybeRetire(tx)
 	}
-	le.superseded = nil
+	clear(le.superseded)
+	le.superseded = le.superseded[:0]
 	if le.empty() {
-		m.lot.Delete(uint64(req.Obj))
+		m.dropLot(le)
 	}
 	m.touchMem()
 }
-
-// sortedOids returns a set's oids in ascending order. Flush requests are
-// enqueued in this order so that runs are bit-for-bit deterministic; Go's
-// map iteration order would otherwise leak into the flush schedule.
-//
-// The returned slice borrows the manager's scratch buffer; callers hand it
-// back with releaseOids when done iterating. The scratch is nilled out
-// while borrowed, so a nested call (none exists in the current call graph,
-// but the flush paths are synchronous and intricate) falls back to a fresh
-// allocation instead of corrupting the outer iteration.
-func (m *Manager) sortedOids(set map[logrec.OID]struct{}) []logrec.OID {
-	out := m.oidScratch[:0]
-	m.oidScratch = nil
-	for oid := range set {
-		out = append(out, oid)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// releaseOids returns a sortedOids snapshot to the scratch slot.
-func (m *Manager) releaseOids(s []logrec.OID) { m.oidScratch = s }
 
 // stealFlushDurable enqueues stolen flushes for the still-uncommitted data
 // records of a buffer that just became durable — the write-ahead rule: the
 // log record reaches disk before the stable database may be dirtied.
 func (m *Manager) stealFlushDurable(b *buffer) {
-	for _, c := range b.cells {
-		if !c.inList || c.rec.Kind != logrec.KindData || c.committed ||
+	for i, c := range b.cells {
+		if c.rec != b.recs[i] || !c.inList || c.rec.Kind != logrec.KindData || c.committed ||
 			c.stolenQueued || c.tx.state != txActive {
 			continue
 		}
@@ -633,7 +575,7 @@ func (m *Manager) stealFlushDurable(b *buffer) {
 // coordinator, once every remote participant branch has retired (the
 // DECIDE record must outlive any PREPARE that could be replayed in doubt).
 func (m *Manager) maybeRetire(e *lttEntry) {
-	if e.state == txCommitted && len(e.oids) == 0 && e.pins == 0 {
+	if e.state == txCommitted && e.nCells == 0 && e.pins == 0 {
 		m.retire(e)
 	}
 }
@@ -650,9 +592,15 @@ func (m *Manager) retire(e *lttEntry) {
 	// momentarily detached from the generation lists.
 	m.unlink(e.txCell)
 	m.ltt.Delete(uint64(e.tid))
+	// A committed entry with no cells left is referenced by nothing: its
+	// COMMIT was durable, so no buffer lists it, and every cell that pointed
+	// at it is garbage. Recycle it.
+	onRetired := e.onRetired
+	*e = lttEntry{state: txFree}
+	m.txs.put(e)
 	m.touchMem()
-	if e.onRetired != nil {
-		e.onRetired()
+	if onRetired != nil {
+		onRetired()
 	}
 }
 

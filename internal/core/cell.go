@@ -17,15 +17,25 @@ import (
 // belongs to whichever block is eventually written at the tail.
 type cell struct {
 	left, right *cell
-	gen         int
+	gen         int   // generation whose list holds the cell; -1 on the free list
 	slot        *slot // block holding the record; nil while pending in a slotless buffer
 	rec         *logrec.Record
+	// buf is the block buffer carrying rec that has not finished with it —
+	// filling, in flight or awaiting a retry — and nil once that block is
+	// durable. It decides who recycles rec: the buffer when its write ends,
+	// or the cell when it dies with no buffer holding the record.
+	buf *buffer
 
-	obj       *lotEntry // owning LOT entry (data records only)
-	tx        *lttEntry // owning transaction
-	committed bool      // data record of a committed transaction, awaiting flush
-	inList    bool
-	arrived   sim.Time // when the cell entered its current generation
+	obj        *lotEntry // owning LOT entry (data records only)
+	tx         *lttEntry // owning transaction
+	nextWriter *cell     // LOT chain: another transaction's uncommitted update of obj
+	txPrev     *cell     // LTT chain: tx's data cells, ascending by oid
+	txNext     *cell
+	inTx       bool // linked into tx's chain
+	committed  bool // data record of a committed transaction, awaiting flush
+	inList     bool
+	dead       bool     // record became garbage while the cell was detached (see unlink)
+	arrived    sim.Time // when the cell entered its current generation
 
 	// Steal-extension flags: the uncommitted update was queued for / has
 	// completed a stolen flush; cleanQueued marks the pending commit-time

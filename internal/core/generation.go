@@ -53,14 +53,25 @@ type slot struct {
 // buffer may be slotless (slot == nil) until it is about to be written —
 // the paper's lazy recirculation (section 2.2).
 type buffer struct {
-	slot    *slot
-	free    int
-	recs    []*logrec.Record
-	cells   []*cell     // cells for recs that are still non-garbage at seal time
+	slot *slot
+	free int
+	recs []*logrec.Record
+	// cells[i] is the cell recs[i] was appended for. The pointer outlives
+	// the pairing: the cell may since have taken a newer record, died and
+	// been recycled, so readers first check cells[i].rec == recs[i].
+	cells   []*cell
 	origins []*slot     // refugee accounting: one entry per drained record
 	commits []*lttEntry // transactions whose COMMIT record rides in this buffer
 	sealed  bool
 	epoch   uint64 // bumped on recycle; guards stale group-commit timeouts
+
+	// Write state, set by writeOut: the generation being written to, the
+	// attempt in progress (1 is the original issue, higher are fault
+	// retries), and the completion callback handed to the device — built
+	// once per buffer, so issuing a write allocates nothing.
+	gen     *generation
+	attempt int
+	done    func(err error)
 }
 
 // generation is one fixed-size queue of the log chain: a circular array of

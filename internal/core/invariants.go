@@ -8,8 +8,11 @@ import (
 
 // CheckInvariants walks the manager's entire bookkeeping and verifies the
 // structural invariants of section 2: cells, generation lists, LOT and LTT
-// cross-references, slot accounting and refugee counts. It returns the
-// first violation found, or nil. Tests call it at checkpoints throughout
+// cross-references, slot accounting and refugee counts — and that nothing
+// still in use has been recycled: no cell reachable from a generation list,
+// the LOT or the LTT, and no record reachable from such a cell or from a
+// block buffer that has not finished its write, is on a free list. It
+// returns the first violation found, or nil. Tests call it at checkpoints throughout
 // simulations; it is not part of the hot path.
 func (m *Manager) CheckInvariants() error {
 	// 1. Generation ring accounting.
@@ -57,6 +60,9 @@ func (m *Manager) CheckInvariants() error {
 		}
 		c := g.list.h
 		for i := 0; i < g.list.n; i++ {
+			if err := inUse(c); err != nil {
+				return fmt.Errorf("gen %d: listed %v", g.idx, err)
+			}
 			if !c.inList {
 				return fmt.Errorf("gen %d: listed cell %v not marked inList", g.idx, c.rec)
 			}
@@ -82,14 +88,22 @@ func (m *Manager) CheckInvariants() error {
 
 	// 3. LOT entries: every referenced cell is live and cross-linked.
 	lotCells := 0
+	reachable := make(map[*cell]bool)
 	var lotErr error
 	m.lot.Range(func(key uint64, le *lotEntry) bool {
 		oid := logrec.OID(key)
+		if le.free || le.oid != oid {
+			lotErr = fmt.Errorf("LOT entry %d is on the free list or misfiled (oid %d, free %v)", oid, le.oid, le.free)
+			return false
+		}
 		if le.empty() {
 			lotErr = fmt.Errorf("LOT entry %d is empty but present", oid)
 			return false
 		}
-		check := func(c *cell, committed bool, tid logrec.TxID) error {
+		check := func(c *cell, committed bool) error {
+			if err := inUse(c); err != nil {
+				return fmt.Errorf("LOT %d: %v", oid, err)
+			}
 			if !c.inList {
 				return fmt.Errorf("LOT %d: cell %v not in any list", oid, c.rec)
 			}
@@ -102,18 +116,15 @@ func (m *Manager) CheckInvariants() error {
 			if c.obj != le {
 				return fmt.Errorf("LOT %d: cell %v has wrong owner", oid, c.rec)
 			}
-			if _, ok := c.tx.oids[oid]; !ok {
-				return fmt.Errorf("LOT %d: owner tx %d does not list the oid", oid, c.tx.tid)
+			if !c.inTx || c.tx.tid != c.rec.Tx {
+				return fmt.Errorf("LOT %d: cell %v is not on the chain of its transaction", oid, c.rec)
 			}
-			if tid != 0 && c.rec.Tx != tid {
-				return fmt.Errorf("LOT %d: uncommitted cell under tx %d written by %d", oid, tid, c.rec.Tx)
-			}
+			lotCells++
+			reachable[c] = true
 			return nil
 		}
 		if le.committed != nil {
-			lotCells++
-			if err := check(le.committed, true, 0); err != nil {
-				lotErr = err
+			if lotErr = check(le.committed, true); lotErr != nil {
 				return false
 			}
 			if le.committed.tx.state != txCommitted {
@@ -121,17 +132,19 @@ func (m *Manager) CheckInvariants() error {
 				return false
 			}
 		}
-		for tid, c := range le.uncommitted {
-			lotCells++
-			if err := check(c, false, tid); err != nil {
-				lotErr = err
+		writers := make(map[logrec.TxID]bool)
+		for c := le.uncommitted; c != nil; c = c.nextWriter {
+			if lotErr = check(c, false); lotErr != nil {
 				return false
 			}
+			if writers[c.rec.Tx] {
+				lotErr = fmt.Errorf("LOT %d: two uncommitted cells for tx %d", oid, c.rec.Tx)
+				return false
+			}
+			writers[c.rec.Tx] = true
 		}
 		for _, c := range le.superseded {
-			lotCells++
-			if err := check(c, true, 0); err != nil {
-				lotErr = err
+			if lotErr = check(c, true); lotErr != nil {
 				return false
 			}
 			if le.committed == nil {
@@ -146,12 +159,21 @@ func (m *Manager) CheckInvariants() error {
 	}
 
 	// 4. LTT entries: tx cells live (unless riding in an unsealed buffer),
-	// oid sets backed by LOT.
-	lttCells := 0
+	// chains well formed — ascending by oid, every cell the entry's own and
+	// held by its object's LOT entry.
+	lttCells, chained := 0, 0
 	var lttErr error
 	m.ltt.Range(func(key uint64, e *lttEntry) bool {
+		if e.state == txFree || uint64(e.tid) != key {
+			lttErr = fmt.Errorf("LTT %d: entry is on the free list or misfiled (tid %d, state %d)", key, e.tid, e.state)
+			return false
+		}
 		if e.txCell == nil {
 			lttErr = fmt.Errorf("LTT %d: no tx cell", e.tid)
+			return false
+		}
+		if err := inUse(e.txCell); err != nil {
+			lttErr = fmt.Errorf("LTT %d: tx %v", e.tid, err)
 			return false
 		}
 		if e.txCell.inList {
@@ -161,56 +183,41 @@ func (m *Manager) CheckInvariants() error {
 			lttErr = fmt.Errorf("LTT %d: tx cell owner mismatch", e.tid)
 			return false
 		}
-		for oid := range e.oids {
-			le, ok := m.lot.Get(uint64(oid))
-			if !ok {
-				lttErr = fmt.Errorf("LTT %d: oid %d has no LOT entry", e.tid, oid)
+		reachable[e.txCell] = true
+		n := 0
+		var prev *cell
+		for c := e.cells; c != nil; prev, c = c, c.txNext {
+			n++
+			if c.tx != e || !c.inTx || c.txPrev != prev {
+				lttErr = fmt.Errorf("LTT %d: chain broken at cell %v", e.tid, c.rec)
 				return false
 			}
-			found := false
-			if le.committed != nil && le.committed.tx == e {
-				found = true
+			if prev != nil && prev.rec.Obj >= c.rec.Obj {
+				lttErr = fmt.Errorf("LTT %d: chain out of oid order at %v", e.tid, c.rec)
+				return false
 			}
-			if c := le.uncommitted[e.tid]; c != nil {
-				found = true
-			}
-			for _, c := range le.superseded {
-				if c.tx == e {
-					found = true
-					break
-				}
-			}
-			if !found {
-				lttErr = fmt.Errorf("LTT %d: oid %d has no cell owned by the tx", e.tid, oid)
+			if !reachable[c] {
+				lttErr = fmt.Errorf("LTT %d: oid %d has no cell owned by the tx in the LOT", e.tid, c.rec.Obj)
 				return false
 			}
 		}
+		if n != e.nCells {
+			lttErr = fmt.Errorf("LTT %d: chain holds %d cells, entry counts %d", e.tid, n, e.nCells)
+			return false
+		}
+		chained += n
 		return true
 	})
 	if lttErr != nil {
 		return lttErr
 	}
+	if chained != lotCells {
+		return fmt.Errorf("%d cells in the LOT but %d on LTT chains", lotCells, chained)
+	}
 
 	// 5. Every listed cell is reachable from LOT or LTT — "at any given
 	// time, the cells associated with the LOT and LTT entries point to all
 	// non-garbage records in the log" (section 2.3).
-	reachable := make(map[*cell]bool)
-	m.lot.Range(func(_ uint64, le *lotEntry) bool {
-		if le.committed != nil {
-			reachable[le.committed] = true
-		}
-		for _, c := range le.uncommitted {
-			reachable[c] = true
-		}
-		for _, c := range le.superseded {
-			reachable[c] = true
-		}
-		return true
-	})
-	m.ltt.Range(func(_ uint64, e *lttEntry) bool {
-		reachable[e.txCell] = true
-		return true
-	})
 	var orphan error
 	total := 0
 	for _, g := range m.gens {
@@ -240,6 +247,71 @@ func (m *Manager) CheckInvariants() error {
 	if m.appendedRecs.Count() != m.garbaged.Count()+live {
 		return fmt.Errorf("record accounting drifted: %d appended != %d garbage + %d live",
 			m.appendedRecs.Count(), m.garbaged.Count(), live)
+	}
+
+	// 7. Recycling. Checks 2-4 established that no cell in use, nor its
+	// record, is on a free list. The same must hold for the records of every
+	// buffer that still has a write to finish — filling, in flight or
+	// awaiting a retry — and, from the other side, everything that is on a
+	// free list must still carry the mark it was recycled with: a cell or
+	// record written through a stale pointer shows up here.
+	pooled := make(map[*buffer]bool, len(m.bufPool))
+	for _, b := range m.bufPool {
+		pooled[b] = true
+	}
+	for _, b := range m.allBufs {
+		if pooled[b] {
+			if len(b.recs) != 0 || len(b.cells) != 0 {
+				return fmt.Errorf("pooled buffer still holds %d records, %d cells", len(b.recs), len(b.cells))
+			}
+			continue
+		}
+		if len(b.cells) != len(b.recs) {
+			return fmt.Errorf("buffer pairs %d cells with %d records", len(b.cells), len(b.recs))
+		}
+		for i, r := range b.recs {
+			if r.LSN == 0 {
+				return fmt.Errorf("unwritten buffer holds a recycled record (index %d of %d)", i, len(b.recs))
+			}
+			if c := b.cells[i]; c.rec == r && c.buf != b {
+				return fmt.Errorf("cell of %v does not know the buffer still holding its record", r)
+			}
+		}
+	}
+	for _, c := range m.cells.free {
+		if c.gen != -1 || c.rec != nil || c.inList || c.inTx {
+			return fmt.Errorf("cell on the free list is in use: gen %d, record %v", c.gen, c.rec)
+		}
+		if reachable[c] {
+			return fmt.Errorf("cell on the free list is reachable from the LOT/LTT")
+		}
+	}
+	for _, le := range m.lots.free {
+		if !le.free || !le.empty() {
+			return fmt.Errorf("LOT entry on the free list is in use (oid %d)", le.oid)
+		}
+	}
+	for _, e := range m.txs.free {
+		if e.state != txFree || e.cells != nil || e.txCell != nil {
+			return fmt.Errorf("LTT entry on the free list is in use (tid %d, state %d)", e.tid, e.state)
+		}
+	}
+	if !m.recs.Zeroed() {
+		return fmt.Errorf("a record on the free list was written after it was recycled")
+	}
+	return nil
+}
+
+// inUse reports an error if a cell that bookkeeping still points at, or its
+// record, has been recycled.
+func inUse(c *cell) error {
+	switch {
+	case c.gen < 0 || c.rec == nil:
+		return fmt.Errorf("cell is on the free list")
+	case c.rec.LSN == 0:
+		return fmt.Errorf("cell holds a recycled record")
+	case c.dead:
+		return fmt.Errorf("cell of %v is marked dead", c.rec)
 	}
 	return nil
 }

@@ -35,7 +35,10 @@ type Manager struct {
 	nextLSN logrec.LSN
 	onKill  func(logrec.TxID)
 	onMem   func() // nil-gated; multilog's combined-memory-gauge hook
-	tracer  trace.Sink
+	// onInsufficient is nil-gated and fires at each of the three events that
+	// make Insufficient() true; harness.Probe arms it to end the run there.
+	onInsufficient func()
+	tracer         trace.Sink
 
 	// Fault-retry policy (EnableFaultRetries). faulty gates every hot-path
 	// divergence from the fault-free model: with it false the manager is
@@ -51,10 +54,18 @@ type Manager struct {
 	// Hot-path scratch, reused call after call (the engine is
 	// single-threaded, so reuse needs no locking — only care about
 	// re-entrancy, which each helper below handles):
-	encBuf     []byte       // block wire-encoding buffer (writeOut)
-	oidScratch []logrec.OID // sortedOids snapshot; nil while one is in use
-	cellBufs   [][]*cell    // pool of head-cell snapshots (advanceHead recurses)
-	bufPool    []*buffer    // retired block buffers, reused LIFO
+	encBuf   []byte    // block wire-encoding buffer (writeOut)
+	cellBufs [][]*cell // pool of head-cell snapshots (advanceHead recurses)
+	bufPool  []*buffer // retired block buffers, reused LIFO
+	allBufs  []*buffer // every buffer ever built, pooled or not (CheckInvariants)
+
+	// Free lists for what a transaction's records need while they are in
+	// the log (see DESIGN.md, "Recycling"): in steady state Begin, WriteData
+	// and Commit allocate nothing.
+	cells freeList[cell]
+	lots  freeList[lotEntry]
+	txs   freeList[lttEntry]
+	recs  logrec.Pool
 
 	// counters and gauges (see Stats)
 	begins, commits, aborts, killedTxs  metrics.Counter
@@ -145,6 +156,19 @@ func (m *Manager) SetKillHandler(fn func(logrec.TxID)) { m.onKill = fn }
 // occur at different simulated times, so their sum overstates it).
 func (m *Manager) SetMemHook(fn func()) { m.onMem = fn }
 
+// SetInsufficientHook registers a callback invoked every time the run shows
+// its disk budget to be insufficient: a transaction killed for log space, an
+// emergency block, a refugee stall — exactly the events Insufficient()
+// reports afterwards. A caller that wants only that verdict stops its engine
+// from the hook instead of simulating on to the horizon.
+func (m *Manager) SetInsufficientHook(fn func()) { m.onInsufficient = fn }
+
+func (m *Manager) noteInsufficient() {
+	if m.onInsufficient != nil {
+		m.onInsufficient()
+	}
+}
+
 // EnableFaultRetries arms the bounded retry-with-backoff path for transient
 // block-write errors (fault injection): a failed write is reissued up to
 // maxRetries times, the k-th retry backoff<<(k-1) after the failure.
@@ -206,15 +230,14 @@ func (m *Manager) BeginHinted(tid logrec.TxID, expected sim.Time) {
 	if _, ok := m.ltt.Get(uint64(tid)); ok {
 		panic(fmt.Sprintf("core: Begin of existing transaction %d", tid))
 	}
-	e := &lttEntry{
+	e := m.txs.get()
+	*e = lttEntry{
 		tid:      tid,
 		state:    txActive,
-		oids:     make(map[logrec.OID]struct{}),
 		beginAt:  m.now(),
 		startGen: m.p.startGen(expected),
 	}
-	rec := logrec.NewTxRecord(m.lsn(), m.now(), logrec.KindBegin, tid, m.p.TxRecSize)
-	c := &cell{rec: rec, tx: e}
+	c := m.newCell(m.recs.NewTxRecord(m.lsn(), m.now(), logrec.KindBegin, tid, m.p.TxRecSize), e, nil)
 	e.txCell = c
 	m.ltt.Put(uint64(tid), e)
 	m.appendTail(e.startGen, c, nil)
@@ -233,29 +256,34 @@ func (m *Manager) WriteData(tid logrec.TxID, oid logrec.OID, size int) logrec.LS
 	if size > m.p.BlockPayload {
 		panic(fmt.Sprintf("core: record of %d bytes exceeds block payload %d", size, m.p.BlockPayload))
 	}
-	rec := logrec.NewDataRecord(m.lsn(), m.now(), tid, oid, size)
+	rec := m.recs.NewDataRecord(m.lsn(), m.now(), tid, oid, size)
 	le := m.lotFor(oid)
 	// Record the before-image: the latest committed version of the object
 	// before this transaction touched it (the UNDO information of the
 	// steal extension; harmless bookkeeping under pure REDO).
-	if old := le.uncommitted[tid]; old != nil {
+	old := le.writerCell(tid)
+	if old != nil {
 		rec.PrevLSN, rec.PrevVal = old.rec.PrevLSN, old.rec.PrevVal
 	} else if le.committed != nil {
 		rec.PrevLSN, rec.PrevVal = le.committed.rec.LSN, le.committed.rec.Val
 	} else if v, ok := m.db.Get(oid); ok {
 		rec.PrevLSN, rec.PrevVal = v.LSN, v.Val
 	}
-	if old := le.uncommitted[tid]; old != nil {
+	if old != nil {
 		// The transaction overwrote its own earlier update: only the last
 		// value matters under REDO logging, so the old record is garbage.
+		le.removeWriter(old)
 		m.unlink(old)
 	}
-	c := &cell{rec: rec, tx: e, obj: le}
-	le.uncommitted[tid] = c
-	e.oids[oid] = struct{}{}
+	c := m.newCell(rec, e, le)
+	le.addWriter(c)
+	e.addCell(c)
+	// The append can kill this very transaction, and a dead cell's record
+	// goes back to the pool: read the LSN first.
+	lsn := rec.LSN
 	m.appendTail(e.startGen, c, nil)
 	m.touchMem()
-	return rec.LSN
+	return lsn
 }
 
 // Commit appends the COMMIT tx record. The transaction commits once that
@@ -278,7 +306,7 @@ func (m *Manager) Commit(tid logrec.TxID, onDurable func()) {
 // list (section 2.3 footnote 4); the earlier record becomes garbage in
 // place.
 func (m *Manager) replaceTxRecord(e *lttEntry, kind logrec.Kind) {
-	rec := logrec.NewTxRecord(m.lsn(), m.now(), kind, e.tid, m.p.TxRecSize)
+	rec := m.recs.NewTxRecord(m.lsn(), m.now(), kind, e.tid, m.p.TxRecSize)
 	c := e.txCell
 	if c.inList {
 		g := m.gens[c.gen]
@@ -289,8 +317,10 @@ func (m *Manager) replaceTxRecord(e *lttEntry, kind logrec.Kind) {
 	// still riding detached in an unwritten buffer; counting only the
 	// listed case would leave appended != garbaged + live.
 	m.garbaged.Inc()
-	c.rec = rec
-	c.slot = nil
+	if c.buf == nil {
+		m.recs.Put(c.rec) // its block is durable: the cell was the last holder
+	}
+	c.rec, c.buf, c.slot = rec, nil, nil
 	m.appendTail(e.startGen, c, nil)
 }
 
@@ -400,9 +430,42 @@ func (m *Manager) lotFor(oid logrec.OID) *lotEntry {
 	if le, ok := m.lot.Get(uint64(oid)); ok {
 		return le
 	}
-	le := &lotEntry{oid: oid, uncommitted: make(map[logrec.TxID]*cell)}
+	le := m.lots.get()
+	le.oid, le.free = oid, false
 	m.lot.Put(uint64(oid), le)
 	return le
+}
+
+// dropLot deletes an emptied LOT entry and recycles it. Its cells are all
+// garbage by now, so nothing reads their obj pointer again.
+func (m *Manager) dropLot(le *lotEntry) {
+	m.lot.Delete(uint64(le.oid))
+	*le = lotEntry{superseded: le.superseded[:0], free: true}
+	m.lots.put(le)
+}
+
+// newCell takes a cell off the free list for a record entering the log.
+func (m *Manager) newCell(rec *logrec.Record, tx *lttEntry, obj *lotEntry) *cell {
+	c := m.cells.get()
+	*c = cell{rec: rec, tx: tx, obj: obj}
+	return c
+}
+
+// freeCell recycles the cell of a garbage record that nothing links to any
+// more: not its generation's list, not the LOT or LTT. The record goes with
+// it unless a block buffer still has to write it — then the buffer recycles
+// the record when its write ends (recycleBuffer). Buffers keep pointers to
+// the cells they carried; they tell a recycled cell by its record no longer
+// being the one they hold.
+func (m *Manager) freeCell(c *cell) {
+	if c.gen < 0 {
+		panic("core: cell freed twice")
+	}
+	if c.buf == nil {
+		m.recs.Put(c.rec)
+	}
+	*c = cell{gen: -1}
+	m.cells.put(c)
 }
 
 // takeCells borrows a cell-snapshot buffer from the pool (empty, capacity
@@ -433,15 +496,29 @@ func (m *Manager) newBuffer(s *slot) *buffer {
 		b.sealed = false
 		return b
 	}
-	return &buffer{slot: s, free: m.p.BlockPayload, epoch: 1}
+	b := &buffer{slot: s, free: m.p.BlockPayload, epoch: 1}
+	b.done = func(err error) { m.writeDone(b, err) }
+	m.allBufs = append(m.allBufs, b)
+	return b
 }
 
-// recycleBuffer retires a buffer whose write completed. The epoch bump
-// invalidates any group-commit timeout still holding the pointer; clearing
-// the slices keeps the pool from pinning dead records and cells.
+// recycleBuffer retires a buffer whose write completed or was abandoned. The
+// epoch bump invalidates any group-commit timeout still holding the pointer;
+// clearing the slices keeps the pool from pinning dead records and cells.
+// The buffer was the last thing to need each record whose cell has since
+// moved on to another record or died; those go back to the pool here. A
+// record its cell still holds stays, and from now on dies with that cell.
 func (m *Manager) recycleBuffer(b *buffer) {
+	for i, r := range b.recs {
+		if c := b.cells[i]; c.rec == r {
+			c.buf = nil
+		} else {
+			m.recs.Put(r)
+		}
+	}
 	b.epoch++
 	b.slot = nil
+	b.gen = nil
 	clear(b.recs)
 	clear(b.cells)
 	clear(b.origins)
@@ -450,15 +527,25 @@ func (m *Manager) recycleBuffer(b *buffer) {
 	m.bufPool = append(m.bufPool, b)
 }
 
-// unlink disposes a cell: its record is now garbage.
+// unlink disposes a cell: its record is now garbage. The caller has already
+// taken it out of its LOT entry (or is dropping the LTT entry whose tx cell
+// it is). A listed cell is recycled on the spot. A detached one — a new
+// record mid-append, or one being forwarded or recirculated, whose
+// space-making cascade came back to kill it — is still in its mover's hands:
+// it is only marked dead, and appendTail recycles it instead of appending.
 func (m *Manager) unlink(c *cell) {
-	if c.inList {
-		g := m.gens[c.gen]
-		g.list.remove(c)
-		g.noteAge(m.now() - c.arrived)
+	if c.inTx {
+		c.tx.removeCell(c)
 	}
-	c.slot = nil
 	m.garbaged.Inc()
+	if !c.inList {
+		c.dead = true
+		return
+	}
+	g := m.gens[c.gen]
+	g.list.remove(c)
+	g.noteAge(m.now() - c.arrived)
+	m.freeCell(c)
 }
 
 // dropTx implements abort and kill: every record of the transaction
@@ -466,23 +553,22 @@ func (m *Manager) unlink(c *cell) {
 func (m *Manager) dropTx(e *lttEntry, killed bool) {
 	e.state = txAborted
 	e.killed = killed
-	for oid := range e.oids {
-		le, ok := m.lot.Get(uint64(oid))
-		if !ok {
-			continue
-		}
-		if c := le.uncommitted[e.tid]; c != nil {
-			m.undoStolen(oid, c, e.tid)
-			m.unlink(c)
-			delete(le.uncommitted, e.tid)
-		}
+	// Only a transaction that has not committed is ever dropped, so every
+	// cell on its chain is an uncommitted update.
+	for c := e.cells; c != nil; {
+		next, le := c.txNext, c.obj
+		m.undoStolen(le.oid, c, e.tid)
+		le.removeWriter(c)
+		m.unlink(c)
 		if le.empty() {
-			m.lot.Delete(uint64(oid))
+			m.dropLot(le)
 		}
+		c = next
 	}
-	clear(e.oids)
 	// The tx record is garbage even when its cell is detached (killed by
-	// the space-making cascade of its own append, or mid-move).
+	// the space-making cascade of its own append, or mid-move). The entry
+	// itself is left to the garbage collector: a buffer in flight may still
+	// list it among its commits, and kills are not the steady state.
 	m.unlink(e.txCell)
 	m.ltt.Delete(uint64(e.tid))
 	if killed {
@@ -491,6 +577,7 @@ func (m *Manager) dropTx(e *lttEntry, killed bool) {
 		if m.onKill != nil {
 			m.onKill(e.tid)
 		}
+		m.noteInsufficient()
 	}
 	m.touchMem()
 }

@@ -265,6 +265,48 @@ func TestCrossTxSupersession(t *testing.T) {
 	assertInv(t, m)
 }
 
+// TestSeveralWritersOfOneObject: the paper's workload gives an object one
+// active writer, but the LOT entry chains as many uncommitted updates as
+// there are writers. Three transactions update object 7; the one in the
+// middle of the chain aborts, another overwrites its own update, and the
+// two survivors commit in turn.
+func TestSeveralWritersOfOneObject(t *testing.T) {
+	s := testSetup(t, Params{Mode: ModeEphemeral, GenSizes: []int{8, 8}})
+	m := s.LM
+	for tid := logrec.TxID(1); tid <= 3; tid++ {
+		m.Begin(tid)
+		m.WriteData(tid, 7, 100)
+		m.WriteData(tid, logrec.OID(100+tid), 100)
+		assertInv(t, m)
+	}
+	if st := m.Stats(); st.LOTEntries != 4 || st.LTTEntries != 3 {
+		t.Fatalf("three writers of one object plus one private object each: LOT=%d LTT=%d, want 4/3", st.LOTEntries, st.LTTEntries)
+	}
+	m.Abort(2)
+	assertInv(t, m)
+	garbage := m.Stats().Garbage
+	m.WriteData(3, 7, 100) // tx 3 overwrites its own update: one more garbage record
+	if got := m.Stats().Garbage; got != garbage+1 {
+		t.Fatalf("overwriting an own update made %d records garbage, want 1", got-garbage)
+	}
+	assertInv(t, m)
+	m.Commit(1, nil)
+	m.Quiesce()
+	s.Eng.Run(s.Eng.Now() + 100*sim.Millisecond)
+	assertInv(t, m)
+	last := m.WriteData(3, 7, 100)
+	m.Commit(3, nil)
+	m.Quiesce()
+	s.Eng.Run(s.Eng.Now() + sim.Second)
+	assertInv(t, m)
+	if v, _ := m.DB().Get(7); v.LSN != last {
+		t.Fatalf("stable version of object 7 is %d, want the last committed update %d", v.LSN, last)
+	}
+	if st := m.Stats(); st.LOTEntries != 0 || st.LTTEntries != 0 || st.Commits != 2 || st.Aborts != 1 {
+		t.Fatalf("at the end: %+v", st)
+	}
+}
+
 func TestForwardingToSecondGeneration(t *testing.T) {
 	// Tiny generation 0 with one-record blocks: a long-lived transaction's
 	// records must be forwarded rather than lost or killed.

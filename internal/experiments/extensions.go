@@ -378,9 +378,9 @@ func Adaptive(o Options) (AdaptiveResult, error) {
 			ctl := adaptive.Attach(live.Setup.Eng, live.Setup.LM, adaptive.Config{})
 			threeQuarters := cfg.Workload.Runtime / 4 * 3
 			live.Setup.Eng.Run(threeQuarters)
-			killsAt75 := live.Gen.Stats().Killed
+			killsAt75 := live.Gen.Killed()
 			live.Setup.Eng.Run(cfg.Workload.Runtime)
-			r.Kills = live.Gen.Stats().Killed
+			r.Kills = live.Gen.Killed()
 			r.LateKills = r.Kills - killsAt75
 			r.FinalSizes = ctl.Sizes()
 			r.Grown = ctl.Grown()

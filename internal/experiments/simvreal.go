@@ -153,7 +153,7 @@ func SimVsReal(opt Options) (SimVsRealResult, error) {
 	sample = func() {
 		simCurve = append(simCurve, realdev.CurvePoint{
 			At:        live.Setup.Eng.Now(),
-			Committed: live.Gen.Stats().Committed,
+			Committed: live.Gen.Committed(),
 		})
 		if live.Setup.Eng.Now() < runtime {
 			live.Setup.Eng.After(sampleEvery, sample)

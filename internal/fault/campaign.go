@@ -298,6 +298,11 @@ func runPoint(cfg CampaignConfig, pt Point, sink trace.Sink) (recovery.Result, e
 	if n < pt.K {
 		return recovery.Result{}, nil, fmt.Errorf("fault: %v never reached (saw %d of %d events; replay diverged?)", pt, n, pt.K)
 	}
+	// The crash falls between two events, where the manager's bookkeeping
+	// must be whole — including that nothing it still uses was recycled.
+	if err := live.Setup.LM.CheckInvariants(); err != nil {
+		return recovery.Result{}, fmt.Errorf("manager invariant violated at the crash: %v", err), nil
+	}
 	if pt.Kind == PointTorn {
 		if _, ok := live.Setup.Dev.TearOldestInFlight(pt.Frac); !ok {
 			return recovery.Result{}, nil, fmt.Errorf("fault: %v: no write in flight to tear", pt)

@@ -54,6 +54,8 @@ type drive struct {
 	lo, span uint64
 	pending  *container.Treap[Request]
 	busy     bool
+	serving  Request  // the request in service while busy
+	served   func()   // completion of the request in service; built at the first kick
 	debt     sim.Time // extra busy time owed by force-flushes taken out of band
 	pos      uint64   // oid of the most recently flushed object
 	started  bool     // pos is valid (at least one flush done)
@@ -204,18 +206,28 @@ func (a *Array) kick(d *drive) {
 		serviceTime += a.stall(d.idx)
 	}
 	d.busySum += a.transfer
-	a.clk.After(serviceTime, func() {
-		if d.started {
-			a.distSum += float64(circDist(d.pos, uint64(req.Obj), d.lo, d.span))
-			a.distN++
-		}
-		d.pos = uint64(req.Obj)
-		d.started = true
-		d.busy = false
-		a.flushes++
-		a.onFlush(req)
-		a.kick(d)
-	})
+	// A drive serves one request at a time, so the request rides in the
+	// drive and one closure per drive serves every completion.
+	d.serving = req
+	if d.served == nil {
+		d.served = func() { a.complete(d) }
+	}
+	a.clk.After(serviceTime, d.served)
+}
+
+// complete finishes the request a drive had in service and starts the next.
+func (a *Array) complete(d *drive) {
+	req := d.serving
+	if d.started {
+		a.distSum += float64(circDist(d.pos, uint64(req.Obj), d.lo, d.span))
+		a.distN++
+	}
+	d.pos = uint64(req.Obj)
+	d.started = true
+	d.busy = false
+	a.flushes++
+	a.onFlush(req)
+	a.kick(d)
 }
 
 // nearest picks the pending request whose oid is circularly closest to the

@@ -60,6 +60,24 @@ func Run(cfg Config) (Result, error) {
 	return res, err
 }
 
+// Probe answers one question — does the disk budget sustain the workload? —
+// and simulates no further than the answer needs: the engine stops at the
+// first killed transaction, emergency block or refugee stall. A sufficient
+// configuration never trips any of them, so its Result is that of a
+// complete Run, field for field. An insufficient one returns
+// Insufficient() == true with everything else partial: LM.Elapsed is the
+// time of the verdict, not the horizon, and every counter, rate and peak
+// covers only the run up to it. Read such a Result for its verdict alone.
+func Probe(cfg Config) (Result, error) {
+	live, err := Build(cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	live.Setup.LM.SetInsufficientHook(live.Setup.Eng.Stop)
+	live.Setup.Eng.Run(cfg.Workload.Runtime)
+	return live.result(), nil
+}
+
 // Live exposes the assembled components of a run for callers that need to
 // crash it mid-flight (recovery experiments) or inspect state.
 type Live struct {
@@ -74,7 +92,11 @@ func RunLive(cfg Config) (*Live, Result, error) {
 		return nil, Result{}, err
 	}
 	live.Setup.Eng.Run(cfg.Workload.Runtime)
-	return live, Result{LM: live.Setup.LM.Stats(), Workload: live.Gen.Stats()}, nil
+	return live, live.result(), nil
+}
+
+func (l *Live) result() Result {
+	return Result{LM: l.Setup.LM.Stats(), Workload: l.Gen.Stats()}
 }
 
 // Build assembles a run without executing it; callers drive the engine

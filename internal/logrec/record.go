@@ -129,6 +129,62 @@ func NewDataRecord(lsn LSN, now sim.Time, tx TxID, obj OID, size int) *Record {
 	return &Record{LSN: lsn, Time: now, Kind: KindData, Tx: tx, Obj: obj, Size: size, Val: uint64(lsn)}
 }
 
+// Pool is a free list of Records for one single-threaded owner (a logging
+// manager): its constructors reuse what Put handed back, LIFO, so a given
+// run reuses the same records in the same order every time — which a
+// sync.Pool would not promise. The zero Pool is ready to use and grows on
+// demand. The owner alone decides when nothing references a record any
+// more; Put zeroes it (LSN 0 is never issued, so a zero LSN marks a record
+// that is on the free list) and panics on a second Put of the same record.
+type Pool struct{ free []*Record }
+
+func (p *Pool) get() *Record {
+	if n := len(p.free); n > 0 {
+		r := p.free[n-1]
+		p.free = p.free[:n-1]
+		return r
+	}
+	return new(Record)
+}
+
+// NewTxRecord is the pooled NewTxRecord.
+func (p *Pool) NewTxRecord(lsn LSN, now sim.Time, kind Kind, tx TxID, size int) *Record {
+	if !kind.IsTx() {
+		panic("logrec: NewTxRecord with non-tx kind " + kind.String())
+	}
+	r := p.get()
+	*r = Record{LSN: lsn, Time: now, Kind: kind, Tx: tx, Size: size}
+	return r
+}
+
+// NewDataRecord is the pooled NewDataRecord.
+func (p *Pool) NewDataRecord(lsn LSN, now sim.Time, tx TxID, obj OID, size int) *Record {
+	r := p.get()
+	*r = Record{LSN: lsn, Time: now, Kind: KindData, Tx: tx, Obj: obj, Size: size, Val: uint64(lsn)}
+	return r
+}
+
+// Put returns a record nothing references any more to the free list.
+func (p *Pool) Put(r *Record) {
+	if r.LSN == 0 {
+		panic("logrec: record recycled twice")
+	}
+	*r = Record{}
+	p.free = append(p.free, r)
+}
+
+// Zeroed reports whether every record on the free list still carries the
+// zero LSN Put left it with; a false means something wrote through a
+// pointer it should no longer have held (the owner's invariant checks ask).
+func (p *Pool) Zeroed() bool {
+	for _, r := range p.free {
+		if r.LSN != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // String formats the record for traces and test failures.
 func (r *Record) String() string {
 	if r.Kind == KindData {

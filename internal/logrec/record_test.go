@@ -325,3 +325,36 @@ func TestAppendBlockZeroAllocsOnReuse(t *testing.T) {
 		t.Fatalf("AppendBlock reuse allocates %v allocs/run, want 0", avg)
 	}
 }
+
+func TestPoolRecyclesLIFOAndMarksFreeRecords(t *testing.T) {
+	var p Pool
+	a := p.NewDataRecord(1, 10, 7, 42, 100)
+	b := p.NewTxRecord(2, 11, KindCommit, 7, 8)
+	if want := NewDataRecord(1, 10, 7, 42, 100); *a != *want {
+		t.Fatalf("pooled data record %+v, want %+v", a, want)
+	}
+	if want := NewTxRecord(2, 11, KindCommit, 7, 8); *b != *want {
+		t.Fatalf("pooled tx record %+v, want %+v", b, want)
+	}
+	p.Put(a)
+	p.Put(b)
+	if a.LSN != 0 || b.LSN != 0 || !p.Zeroed() {
+		t.Fatal("Put did not mark the records free")
+	}
+	// LIFO: the last record put is the first reused, fully re-initialised.
+	c := p.NewTxRecord(3, 12, KindBegin, 8, 8)
+	if c != b || *c != *NewTxRecord(3, 12, KindBegin, 8, 8) {
+		t.Fatalf("reuse handed out %p %+v, want the last record put (%p), re-initialised", c, c, b)
+	}
+	a.LSN = 5 // a write through a stale pointer
+	if p.Zeroed() {
+		t.Fatal("Zeroed missed a free record written after Put")
+	}
+	a.LSN = 0
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second Put of the same record did not panic")
+		}
+	}()
+	p.Put(a)
+}

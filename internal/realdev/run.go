@@ -195,7 +195,7 @@ func Run(cfg RunConfig) (Result, error) {
 		sample = func() {
 			curve = append(curve, CurvePoint{
 				At:        live.Loop.Now(),
-				Committed: live.Gen.Stats().Committed,
+				Committed: live.Gen.Committed(),
 			})
 			if live.Loop.Now() < cfg.Workload.Runtime {
 				live.Loop.After(cfg.SampleEvery, sample)

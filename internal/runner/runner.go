@@ -1,8 +1,9 @@
 // Package runner fans independent simulation probes across a bounded pool
-// of goroutines. Each probe is one complete harness.Run — a single-threaded
-// discrete-event simulation whose outcome depends only on its Config
-// (including the seed) — so whole runs parallelize freely while every
-// individual simulation stays deterministic. The pool additionally
+// of goroutines. Each probe is one harness.Run — or one harness.Probe, the
+// same simulation ended at its verdict — a single-threaded discrete-event
+// simulation whose outcome depends only on its Config (including the
+// seed) — so whole runs parallelize freely while every individual
+// simulation stays deterministic. The pool additionally
 // memoizes results by canonical config so overlapping searches (the
 // experiments share many probe points) pay for each simulation once.
 //
@@ -81,31 +82,76 @@ func (p *Pool) Workers() int {
 // rendering is a faithful, deterministic identity.
 func Key(cfg harness.Config) string { return fmt.Sprintf("%#v", cfg) }
 
-// Run executes one probe, deduplicating against the cache: if an
-// identical config already ran (or is running), its result is shared
+// Run executes one probe to its horizon, deduplicating against the cache:
+// if an identical config already ran (or is running), its result is shared
 // instead of re-simulated. On a nil pool it degenerates to harness.Run.
 func (p *Pool) Run(cfg harness.Config) (harness.Result, error) {
 	if p == nil {
 		return harness.Run(cfg)
 	}
-	key := Key(cfg)
-	p.mu.Lock()
-	if pr, ok := p.memo[key]; ok {
-		p.mu.Unlock()
-		p.hits.Add(1)
-		<-pr.done
-		return pr.res, pr.err
+	pr, cached := p.claim(Key(cfg))
+	if !cached {
+		p.execute(pr, harness.Run, cfg)
 	}
-	pr := &probe{done: make(chan struct{})}
-	p.memo[key] = pr
-	p.mu.Unlock()
+	<-pr.done
+	return pr.res, pr.err
+}
 
+// verdictKey files an early-stopped probe apart from complete runs of the
+// same config, so Run can never be handed a truncated Result.
+func verdictKey(key string) string { return "verdict:" + key }
+
+// Probe asks only whether cfg is sufficient (harness.Probe): the simulation
+// ends at its verdict, so the Result of an insufficient config is partial —
+// see harness.Probe for which fields. A complete run of the same config
+// answers a probe from the cache; an early-stopped probe never answers Run.
+// A probe that turns out sufficient ran to the horizon and is filed as the
+// complete run it is.
+func (p *Pool) Probe(cfg harness.Config) (harness.Result, error) {
+	if p == nil {
+		return harness.Probe(cfg)
+	}
+	key := Key(cfg)
+	pr, cached := p.claim(key, verdictKey(key))
+	if !cached {
+		p.execute(pr, harness.Probe, cfg)
+		if pr.err == nil && !pr.res.Insufficient() {
+			p.mu.Lock()
+			if _, ok := p.memo[key]; !ok {
+				p.memo[key] = pr
+			}
+			p.mu.Unlock()
+		}
+	}
+	<-pr.done
+	return pr.res, pr.err
+}
+
+// claim returns the memoized probe filed under the first of keys that has
+// one (cached == true: wait on it), or files a fresh probe under the last
+// key for the caller to execute.
+func (p *Pool) claim(keys ...string) (pr *probe, cached bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, k := range keys {
+		if pr, ok := p.memo[k]; ok {
+			p.hits.Add(1)
+			return pr, true
+		}
+	}
+	pr = &probe{done: make(chan struct{})}
+	p.memo[keys[len(keys)-1]] = pr
+	return pr, false
+}
+
+// execute runs a claimed probe under the pool's concurrency bound and
+// releases its waiters.
+func (p *Pool) execute(pr *probe, run func(harness.Config) (harness.Result, error), cfg harness.Config) {
 	p.sem <- struct{}{}
-	pr.res, pr.err = harness.Run(cfg)
+	pr.res, pr.err = run(cfg)
 	<-p.sem
 	p.runs.Add(1)
 	close(pr.done)
-	return pr.res, pr.err
 }
 
 // RunAll probes every config and returns results in input order. All

@@ -3,6 +3,7 @@ package runner
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -219,5 +220,114 @@ func TestConcurrentJoinersShareOneRun(t *testing.T) {
 	}
 	if runs, hits := p.Stats(); runs != 1 || hits != 11 {
 		t.Fatalf("runs=%d hits=%d, want exactly one simulation", runs, hits)
+	}
+}
+
+// insufficientConfig is a firewall log that holds half a second of the
+// paper mix, whose transactions live a second or more: the first kill comes
+// early in the run.
+func insufficientConfig() harness.Config { return tinyConfig(3, 5) }
+
+// TestRunNeverServedATruncatedProbe is the cache-poisoning guard: a probe
+// that stopped at its verdict must not answer a later Run of the same
+// config, while a complete run answers probes, and a probe that turned out
+// sufficient — a complete run under another name — answers both.
+func TestRunNeverServedATruncatedProbe(t *testing.T) {
+	cfg := insufficientConfig()
+	p := New(2)
+	probe, err := p.Probe(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !probe.Insufficient() || probe.LM.Elapsed >= cfg.Workload.Runtime {
+		t.Fatalf("probe of a 5-block firewall: insufficient=%v after %v", probe.Insufficient(), probe.LM.Elapsed)
+	}
+	full, err := p.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.LM.Elapsed != cfg.Workload.Runtime || !full.Insufficient() {
+		t.Fatalf("Run after an early-stopped probe ended at %v (horizon %v), insufficient=%v",
+			full.LM.Elapsed, cfg.Workload.Runtime, full.Insufficient())
+	}
+	if want, _ := harness.Run(cfg); !reflect.DeepEqual(full, want) {
+		t.Fatal("Run after an early-stopped probe differs from harness.Run")
+	}
+	if runs, hits := p.Stats(); runs != 2 || hits != 0 {
+		t.Fatalf("probe then Run: %d simulations, %d cache hits, want 2 and 0", runs, hits)
+	}
+	// From here on the complete run answers both.
+	if again, _ := p.Probe(cfg); !reflect.DeepEqual(again, full) {
+		t.Fatal("repeated probe not answered by the complete run")
+	}
+	if again, _ := p.Run(cfg); !reflect.DeepEqual(again, full) {
+		t.Fatal("repeated Run not answered by the first")
+	}
+	if runs, hits := p.Stats(); runs != 2 || hits != 2 {
+		t.Fatalf("after repeating both: %d simulations, %d cache hits, want 2 and 2", runs, hits)
+	}
+
+	// The other order: a complete run answers the probe.
+	p = New(2)
+	full, _ = p.Run(cfg)
+	if got, _ := p.Probe(cfg); !reflect.DeepEqual(got, full) {
+		t.Fatal("probe after a complete run was not answered by it")
+	}
+	// A sufficient probe is a complete run and answers Run.
+	ok := tinyConfig(4, 64)
+	first, _ := p.Probe(ok)
+	if first.Insufficient() || first.LM.Elapsed != ok.Workload.Runtime {
+		t.Fatalf("probe of a generous log: insufficient=%v, ended at %v", first.Insufficient(), first.LM.Elapsed)
+	}
+	if got, _ := p.Run(ok); !reflect.DeepEqual(got, first) {
+		t.Fatal("Run after a sufficient probe was not answered by it")
+	}
+	if runs, hits := p.Stats(); runs != 2 || hits != 2 {
+		t.Fatalf("second pool: %d simulations, %d cache hits, want 2 and 2", runs, hits)
+	}
+}
+
+// TestNilPoolProbeIsHarnessProbe: the sequential fallback ends at the
+// verdict too.
+func TestNilPoolProbeIsHarnessProbe(t *testing.T) {
+	cfg := insufficientConfig()
+	var p *Pool
+	got, err := p.Probe(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := harness.Probe(cfg); !reflect.DeepEqual(got, want) {
+		t.Fatal("nil-pool Probe differs from harness.Probe")
+	}
+}
+
+// TestConcurrentProbesAndRunsOfOneConfig races Probe against Run on one
+// insufficient config: whatever the interleaving, every Run sees the
+// horizon, every caller the same verdict, and at most two simulations run —
+// one stopped early, one complete.
+func TestConcurrentProbesAndRunsOfOneConfig(t *testing.T) {
+	cfg := insufficientConfig()
+	p := New(4)
+	results := make([]harness.Result, 16)
+	if err := p.ForEach(len(results), func(i int) (err error) {
+		if i%2 == 0 {
+			results[i], err = p.Probe(cfg)
+		} else {
+			results[i], err = p.Run(cfg)
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if !r.Insufficient() {
+			t.Fatalf("caller %d: a 5-block firewall reported sufficient", i)
+		}
+		if i%2 == 1 && r.LM.Elapsed != cfg.Workload.Runtime {
+			t.Fatalf("Run %d was handed a result that ends at %v, horizon %v", i, r.LM.Elapsed, cfg.Workload.Runtime)
+		}
+	}
+	if runs, hits := p.Stats(); runs < 1 || runs > 2 || runs+hits != uint64(len(results)) {
+		t.Fatalf("%d simulations and %d cache hits for %d callers", runs, hits, len(results))
 	}
 }

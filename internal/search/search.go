@@ -43,13 +43,17 @@ const (
 )
 
 // Probe runs one configuration with the given generation sizes and reports
-// whether it sustained the workload.
+// whether it sustained the workload. The run ends at its verdict
+// (runner.Pool.Probe): the Result of a sufficient configuration is that of
+// a complete run and is what the searches report; the Result returned with
+// ok == false covers only the run up to the first kill and carries nothing
+// but that verdict.
 func Probe(p *runner.Pool, base harness.Config, mode core.Mode, sizes []int, recirc bool) (bool, harness.Result, error) {
 	cfg := base
 	cfg.LM.Mode = mode
 	cfg.LM.GenSizes = append([]int(nil), sizes...)
 	cfg.LM.Recirculate = recirc
-	res, err := p.Run(cfg)
+	res, err := p.Probe(cfg)
 	if err != nil {
 		return false, res, err
 	}

@@ -148,7 +148,12 @@ type Stats struct {
 	CrossEndToEndP99  float64
 }
 
+// txRun is one transaction in progress. Runs are recycled: a finished run
+// goes back to the generator's free list with its writes slice emptied and
+// its three event handlers — closures over the run, built once — intact, so
+// a transaction in steady state allocates nothing here.
 type txRun struct {
+	tid          logrec.TxID
 	typ          *TxType
 	killed       bool
 	commitIssued bool // COMMIT record handed to the log manager
@@ -156,7 +161,42 @@ type txRun struct {
 	cross        bool // draws oids from two shards (2PC on commit)
 	home, remote int  // shard assignment (equal unless cross)
 	began        sim.Time
-	writes       map[logrec.OID]logrec.LSN
+	issued       int // data-record events fired so far
+	writes       []write
+
+	onRecord  func() // g.writeRecord(run): scheduled once per data record
+	onCommit  func() // g.commit(run): scheduled at the transaction's lifetime
+	onDurable func() // g.acked(run): handed to the log manager with the COMMIT
+}
+
+// write is one data record a transaction logged.
+type write struct {
+	oid logrec.OID
+	lsn logrec.LSN
+}
+
+// fate is what the generator remembers of a transaction once its run has
+// been recycled: one byte, enough for TxInfo.
+type fate uint8
+
+const (
+	fateCommitIssued fate = 1 << iota
+	fateAcked
+	fateKilled
+)
+
+func (r *txRun) fate() fate {
+	var f fate
+	if r.commitIssued {
+		f |= fateCommitIssued
+	}
+	if r.durable {
+		f |= fateAcked
+	}
+	if r.killed {
+		f |= fateKilled
+	}
+	return f
 }
 
 // Generator initiates transactions against a LogManager on a simulation
@@ -167,7 +207,9 @@ type Generator struct {
 	cfg Config
 
 	nextTid logrec.TxID
-	txs     map[logrec.TxID]*txRun
+	txs     map[logrec.TxID]*txRun // transactions in progress
+	fates   []fate                 // finished ones, by initiation order
+	idle    []*txRun               // recycled runs, reused LIFO
 	held    map[logrec.OID]logrec.TxID
 	oracle  map[logrec.OID]logrec.LSN
 
@@ -176,6 +218,8 @@ type Generator struct {
 	perType                      map[string]uint64
 	endToEnd                     metrics.Histogram
 	localE2E, crossE2E           metrics.Histogram
+
+	onArrival func() // g.arrival, bound once: a method value allocates per use
 
 	// bursty-arrival modulation state
 	burstOn    bool
@@ -219,6 +263,7 @@ func New(eng sim.Source, lm LogManager, cfg Config) (*Generator, error) {
 		oracle:  make(map[logrec.OID]logrec.LSN),
 		perType: make(map[string]uint64),
 	}
+	g.onArrival = g.arrival
 	lm.SetKillHandler(g.onKill)
 	return g, nil
 }
@@ -226,7 +271,7 @@ func New(eng sim.Source, lm LogManager, cfg Config) (*Generator, error) {
 // Start schedules the first arrival; transactions then initiate at regular
 // intervals for the configured runtime.
 func (g *Generator) Start() {
-	g.eng.At(0, g.arrival)
+	g.eng.At(0, g.onArrival)
 }
 
 func (g *Generator) interval() sim.Time {
@@ -239,7 +284,7 @@ func (g *Generator) arrival() {
 		return
 	}
 	g.initiate()
-	g.eng.At(now+g.nextGap(), g.arrival)
+	g.eng.At(now+g.nextGap(), g.onArrival)
 }
 
 // pickType selects a transaction type according to the pdf.
@@ -259,7 +304,8 @@ func (g *Generator) initiate() {
 	typ := g.pickType()
 	g.nextTid++
 	tid := logrec.TxID(g.cfg.TidBase) + g.nextTid
-	run := &txRun{typ: typ, began: g.eng.Now(), writes: make(map[logrec.OID]logrec.LSN)}
+	run := g.newRun()
+	run.tid, run.typ, run.began = tid, typ, g.eng.Now()
 	if g.cfg.NumShards > 1 {
 		run.home = int(g.eng.Rand().Uint64N(uint64(g.cfg.NumShards)))
 		run.remote = run.home
@@ -275,6 +321,7 @@ func (g *Generator) initiate() {
 		}
 	}
 	g.txs[tid] = run
+	g.fates = append(g.fates, 0)
 	g.started.Inc()
 	g.perType[typ.Name]++
 
@@ -285,13 +332,38 @@ func (g *Generator) initiate() {
 	g.lm.BeginHinted(tid, hint)
 
 	// Schedule the N data records: record j at t0 + j*(T-eps)/N, so the
-	// last lands at t0 + T - eps (Figure 3).
+	// last lands at t0 + T - eps (Figure 3). They fire in order, so the run
+	// counts them instead of each event carrying its j.
 	step := (typ.Lifetime - g.cfg.Epsilon) / sim.Time(typ.NumRecords)
 	for j := 1; j <= typ.NumRecords; j++ {
-		j := j
-		g.eng.After(sim.Time(j)*step, func() { g.writeRecord(tid, j) })
+		g.eng.After(sim.Time(j)*step, run.onRecord)
 	}
-	g.eng.After(typ.Lifetime, func() { g.commit(tid) })
+	g.eng.After(typ.Lifetime, run.onCommit)
+}
+
+// newRun takes a run off the free list, or builds one with its handlers.
+func (g *Generator) newRun() *txRun {
+	if n := len(g.idle); n > 0 {
+		run := g.idle[n-1]
+		g.idle = g.idle[:n-1]
+		return run
+	}
+	run := &txRun{}
+	run.onRecord = func() { g.writeRecord(run) }
+	run.onCommit = func() { g.commit(run) }
+	run.onDurable = func() { g.acked(run) }
+	return run
+}
+
+// finish forgets a transaction nothing will happen to any more, keeping
+// only its fate. recycle says no event or callback still holds the run.
+func (g *Generator) finish(run *txRun, recycle bool) {
+	g.fates[uint64(run.tid)-g.cfg.TidBase-1] = run.fate()
+	delete(g.txs, run.tid)
+	if recycle {
+		*run = txRun{writes: run.writes[:0], onRecord: run.onRecord, onCommit: run.onCommit, onDurable: run.onDurable}
+		g.idle = append(g.idle, run)
+	}
 }
 
 // recordShard decides which shard transaction run's j-th record writes
@@ -336,49 +408,55 @@ func (g *Generator) drawOID(shard int) logrec.OID {
 	}
 }
 
-func (g *Generator) writeRecord(tid logrec.TxID, j int) {
-	run := g.txs[tid]
+func (g *Generator) writeRecord(run *txRun) {
+	run.issued++
 	if run.killed {
 		return
 	}
-	oid := g.drawOID(g.recordShard(run, j))
-	g.held[oid] = tid
-	lsn := g.lm.WriteData(tid, oid, run.typ.RecordSize)
+	oid := g.drawOID(g.recordShard(run, run.issued))
+	g.held[oid] = run.tid
+	lsn := g.lm.WriteData(run.tid, oid, run.typ.RecordSize)
 	if run.killed {
 		// The write itself triggered space pressure that killed this very
 		// transaction; the record is already garbage and the oid is free.
 		delete(g.held, oid)
 		return
 	}
-	run.writes[oid] = lsn
+	run.writes = append(run.writes, write{oid, lsn})
 }
 
-func (g *Generator) commit(tid logrec.TxID) {
-	run := g.txs[tid]
+func (g *Generator) commit(run *txRun) {
 	if run.killed {
+		// The last of a killed transaction's events: nothing holds the run.
+		g.finish(run, true)
 		return
 	}
 	run.commitIssued = true
-	g.lm.Commit(tid, func() {
-		run.durable = true
-		g.committed.Inc()
-		e2e := (g.eng.Now() - run.began).Seconds()
-		g.endToEnd.Observe(e2e)
-		if run.cross {
-			g.crossCommitted.Inc()
-			g.crossE2E.Observe(e2e)
-		} else {
-			g.localE2E.Observe(e2e)
+	g.lm.Commit(run.tid, run.onDurable)
+}
+
+// acked is the log manager's group-commit acknowledgement (t4): the
+// transaction is durably committed.
+func (g *Generator) acked(run *txRun) {
+	run.durable = true
+	g.committed.Inc()
+	e2e := (g.eng.Now() - run.began).Seconds()
+	g.endToEnd.Observe(e2e)
+	if run.cross {
+		g.crossCommitted.Inc()
+		g.crossE2E.Observe(e2e)
+	} else {
+		g.localE2E.Observe(e2e)
+	}
+	for _, w := range run.writes {
+		if g.oracle[w.oid] < w.lsn {
+			g.oracle[w.oid] = w.lsn
 		}
-		for oid, lsn := range run.writes {
-			if g.oracle[oid] < lsn {
-				g.oracle[oid] = lsn
-			}
-			if g.held[oid] == tid {
-				delete(g.held, oid)
-			}
+		if g.held[w.oid] == run.tid {
+			delete(g.held, w.oid)
 		}
-	})
+	}
+	g.finish(run, true)
 }
 
 func (g *Generator) onKill(tid logrec.TxID) {
@@ -388,12 +466,26 @@ func (g *Generator) onKill(tid logrec.TxID) {
 	}
 	run.killed = true
 	g.killed.Inc()
-	for oid := range run.writes {
-		if g.held[oid] == tid {
-			delete(g.held, oid)
+	for _, w := range run.writes {
+		if g.held[w.oid] == tid {
+			delete(g.held, w.oid)
 		}
 	}
+	if run.commitIssued {
+		// No event of its own is left to finish it. The log manager still
+		// holds the run's acknowledgement callback, so the run is dropped
+		// rather than recycled.
+		g.finish(run, false)
+	}
 }
+
+// Committed reports durably committed transactions so far. Unlike Stats it
+// is O(1): samplers that want one counter per tick must not pay for a
+// per-type map copy and three latency sorts.
+func (g *Generator) Committed() uint64 { return g.committed.Count() }
+
+// Killed reports transactions killed for log space so far, in O(1).
+func (g *Generator) Killed() uint64 { return g.killed.Count() }
 
 // Stats snapshots the generator's counters.
 func (g *Generator) Stats() Stats {
@@ -446,7 +538,9 @@ func (g *Generator) ActiveHeld() int { return len(g.held) }
 // TxInfo describes one transaction's progress at the time of the call —
 // crash-campaign harnesses use it to decide whether a transaction that
 // recovery reports as a winner was legitimately commit-pending at the
-// crash. The Writes map is live; callers must not mutate it.
+// crash. Writes lists what the transaction has logged so far and is filled
+// in only while the transaction is in progress — not yet acknowledged or
+// killed-and-finished — which is the only time a harness needs it.
 type TxInfo struct {
 	Known        bool
 	CommitIssued bool // COMMIT record handed to the log manager
@@ -457,15 +551,24 @@ type TxInfo struct {
 
 // TxInfo reports the progress of one transaction (zero value if unknown).
 func (g *Generator) TxInfo(tid logrec.TxID) TxInfo {
-	run, ok := g.txs[tid]
-	if !ok {
+	seq := uint64(tid) - g.cfg.TidBase
+	if seq == 0 || seq > uint64(len(g.fates)) {
 		return TxInfo{}
+	}
+	f := g.fates[seq-1]
+	var writes map[logrec.OID]logrec.LSN
+	if run, ok := g.txs[tid]; ok {
+		f = run.fate()
+		writes = make(map[logrec.OID]logrec.LSN, len(run.writes))
+		for _, w := range run.writes {
+			writes[w.oid] = w.lsn
+		}
 	}
 	return TxInfo{
 		Known:        true,
-		CommitIssued: run.commitIssued,
-		Acked:        run.durable,
-		Killed:       run.killed,
-		Writes:       run.writes,
+		CommitIssued: f&fateCommitIssued != 0,
+		Acked:        f&fateAcked != 0,
+		Killed:       f&fateKilled != 0,
+		Writes:       writes,
 	}
 }
