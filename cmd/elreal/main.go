@@ -257,8 +257,9 @@ func printResult(rc realdev.RunConfig, res realdev.Result, verbose bool) {
 		rs.Batches, rs.MaxBatchBlocks, rs.PipelineStalls)
 	fmt.Printf("  fsync latency: mean %.2f, p50 %.2f, p95 %.2f, p99 %.2f, p999 %.2f ms\n",
 		rs.BatchMeanMS, rs.BatchP50MS, rs.BatchP95MS, rs.BatchP99MS, rs.BatchP999MS)
-	fmt.Printf("  batch size: mean %.1f blocks (p99 %.0f), mean %.1f KiB (p99 %.1f)\n",
-		rs.BatchBlocksMean, rs.BatchBlocksP99, rs.BatchBytesMean/1024, rs.BatchBytesP99/1024)
+	fmt.Printf("  batch size: mean %.1f blocks (p99 %.0f) in %.2f pwrites, mean %.1f KiB (p99 %.1f)\n",
+		rs.BatchBlocksMean, rs.BatchBlocksP99, float64(rs.Pwrites)/float64(max(rs.Batches, 1)),
+		rs.BatchBytesMean/1024, rs.BatchBytesP99/1024)
 	fmt.Printf("\nmeasured latency:\n")
 	fmt.Printf("  commit durability: mean %.2f ms, p99 %.2f ms\n", st.CommitDelayMean*1000, st.CommitDelayP99*1000)
 	fmt.Printf("  end-to-end:        mean %.2f ms, p99 %.2f ms\n", w.EndToEndMean*1000, w.EndToEndP99*1000)

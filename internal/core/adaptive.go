@@ -19,7 +19,6 @@ import (
 type EpochGenStats struct {
 	Size      int // current capacity in blocks
 	PeakUsed  int // highest occupancy during the epoch
-	PeakSpan  int // highest truly-live extent (occupancy minus leading garbage)
 	Kills     uint64
 	Emergency uint64
 	In        uint64 // records that entered the generation
@@ -40,13 +39,11 @@ type EpochGenStats struct {
 func (m *Manager) EpochStats() []EpochGenStats {
 	out := make([]EpochGenStats, len(m.gens))
 	for i, g := range m.gens {
-		g.noteSpan()
 		q90, n := g.ageQuantile(0.90)
 		q99, _ := g.ageQuantile(0.99)
 		out[i] = EpochGenStats{
 			Size:       g.size(),
 			PeakUsed:   g.epochPeakUsed,
-			PeakSpan:   g.epochPeakSpan,
 			Kills:      g.epochKills,
 			Emergency:  g.epochEmerg,
 			In:         g.epochIn,
@@ -57,7 +54,6 @@ func (m *Manager) EpochStats() []EpochGenStats {
 			AgeSamples: n,
 		}
 		g.epochPeakUsed = g.used
-		g.epochPeakSpan = g.liveSpan()
 		g.epochKills = 0
 		g.epochEmerg = 0
 		g.epochIn = 0

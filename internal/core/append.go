@@ -332,7 +332,6 @@ func (m *Manager) claimGuarded(g *generation) *slot {
 		s := g.ring[g.tail]
 		if s.refugees == 0 {
 			claimed := g.claimSlot()
-			g.noteSpan()
 			m.usedGauges[g.idx].Set(m.now(), float64(g.used))
 			return claimed
 		}

@@ -89,7 +89,6 @@ type generation struct {
 
 	// epoch pressure counters for the adaptive controller
 	epochPeakUsed int
-	epochPeakSpan int
 	epochKills    uint64
 	epochEmerg    uint64
 	epochIn       uint64 // records entering this generation
@@ -216,32 +215,6 @@ func (g *generation) shrink(n, k int) int {
 // size returns the generation's current capacity in blocks.
 func (g *generation) size() int { return len(g.ring) }
 
-// liveSpan measures the extent that genuinely cannot be reclaimed: the
-// occupied blocks minus the leading run of durable blocks holding only
-// garbage (which lazy head advance has simply not freed yet). Because the
-// cell list is kept in block order, every block strictly before the oldest
-// live cell's block is all garbage.
-func (g *generation) liveSpan() int {
-	if g.used == 0 {
-		return 0
-	}
-	var target *slot
-	if c := g.list.oldest(); c != nil {
-		target = c.slot // nil while the oldest record waits in a pending buffer
-	}
-	lead := 0
-	idx := g.head
-	for i := 0; i < g.used; i++ {
-		s := g.ring[idx]
-		if s == target || s.state != slotDurable {
-			break
-		}
-		lead++
-		idx = (idx + 1) % len(g.ring)
-	}
-	return g.used - lead
-}
-
 // ageBuckets x ageBucket covers residence times up to 16 s, beyond every
 // lifetime in the paper's workloads; older deaths land in the last bucket.
 const (
@@ -290,11 +263,4 @@ func (g *generation) ageQuantile(q float64) (sim.Time, uint64) {
 		}
 	}
 	return sim.Time(ageBuckets) * ageBucket, total
-}
-
-// noteSpan updates the epoch's peak live span.
-func (g *generation) noteSpan() {
-	if span := g.liveSpan(); span > g.epochPeakSpan {
-		g.epochPeakSpan = span
-	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -211,34 +212,6 @@ func TestRingRandomOps(t *testing.T) {
 	}
 }
 
-func TestLiveSpan(t *testing.T) {
-	g, _ := newTestGen(t, 8)
-	if g.liveSpan() != 0 {
-		t.Fatal("empty generation has nonzero span")
-	}
-	slots := claimN(g, 5)
-	// All garbage (no cells): span counts only non-durable blocks — none.
-	if got := g.liveSpan(); got != 0 {
-		t.Fatalf("all-garbage span = %d, want 0", got)
-	}
-	// A live cell in the third block anchors the span from there to tail.
-	c := mkCell(1)
-	c.slot = slots[2]
-	g.list.pushNewest(c)
-	if got := g.liveSpan(); got != 3 {
-		t.Fatalf("span = %d, want 3 (blocks 2,3,4)", got)
-	}
-	// A cell pending in a slotless buffer keeps every durable leading
-	// block reclaimable.
-	g.list.remove(c)
-	c2 := mkCell(2)
-	c2.slot = nil
-	g.list.pushNewest(c2)
-	if got := g.liveSpan(); got != 0 {
-		t.Fatalf("span with only pending cell = %d, want 0", got)
-	}
-}
-
 func TestAgeQuantiles(t *testing.T) {
 	g, _ := newTestGen(t, 4)
 	if q, n := g.ageQuantile(0.9); q != 0 || n != 0 {
@@ -265,5 +238,34 @@ func TestAgeQuantiles(t *testing.T) {
 	g.noteAge(100 * sim.Second)
 	if q, _ := g.ageQuantile(1.0); q != sim.Time(ageBuckets)*ageBucket && q != sim.Time(ageBuckets-1+1)*ageBucket {
 		t.Fatalf("overflow quantile = %v", q)
+	}
+}
+
+// BenchmarkClaimSlot prices a block claim on a 2048-slot generation whose
+// occupied region is durable garbage the lazy head advance has not freed —
+// what generation 0 of a saturated real run looks like. The cost of a claim
+// must not depend on how much of that there is: a claim once walked all of
+// it, from the head, to keep a statistic nothing read.
+func BenchmarkClaimSlot(b *testing.B) {
+	for _, used := range []int{8, 2000} {
+		b.Run(fmt.Sprintf("used=%d", used), func(b *testing.B) {
+			s, err := NewSetup(sim.NewEngine(1, 2), Params{Mode: ModeEphemeral, GenSizes: []int{2048, 64}, Recirculate: true},
+				FlushConfig{Drives: 1, Transfer: sim.Millisecond, NumObjects: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			m := s.LM
+			g := m.gens[0]
+			claimN(g, used)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.claimGuarded(g).state = slotDurable
+				g.freeHeadSlot() // occupancy stays where it was
+			}
+			if g.used != used {
+				b.Fatalf("generation holds %d blocks, want %d", g.used, used)
+			}
+		})
 	}
 }

@@ -55,6 +55,7 @@ type drive struct {
 	pending  *container.Treap[Request]
 	busy     bool
 	serving  Request  // the request in service while busy
+	freeAt   sim.Time // when the request in service is done
 	served   func()   // completion of the request in service; built at the first kick
 	debt     sim.Time // extra busy time owed by force-flushes taken out of band
 	pos      uint64   // oid of the most recently flushed object
@@ -144,7 +145,9 @@ func (a *Array) Enqueue(req Request) {
 			a.maxPending = a.pendingNow
 		}
 	}
-	a.kick(d)
+	if !d.busy {
+		a.kick(d, a.clk.Now())
+	}
 }
 
 // Remove withdraws a pending request for obj (e.g. the update's record
@@ -188,8 +191,14 @@ func (a *Array) ForceFlush(req Request) {
 // the start of the next service on that drive (0 for no stall).
 func (a *Array) SetStall(fn func(drive int) sim.Time) { a.stall = fn }
 
-// kick starts service on an idle drive with work pending.
-func (a *Array) kick(d *drive) {
+// kick starts service on an idle drive with work pending. The service
+// begins at start: now for a drive found idle, the moment the previous
+// request was done for a drive working through its queue — which is also
+// now on a simulated clock, but on the wall-clock loop a completion handler
+// runs late by whatever the loop was doing, and a drive must not idle for
+// that long between two queued requests: the handler's lateness would
+// otherwise set the array's capacity, not its transfer time.
+func (a *Array) kick(d *drive, start sim.Time) {
 	if d.busy || d.pending.Len() == 0 {
 		return
 	}
@@ -212,7 +221,8 @@ func (a *Array) kick(d *drive) {
 	if d.served == nil {
 		d.served = func() { a.complete(d) }
 	}
-	a.clk.After(serviceTime, d.served)
+	d.freeAt = start + serviceTime
+	a.clk.At(d.freeAt, d.served)
 }
 
 // complete finishes the request a drive had in service and starts the next.
@@ -227,7 +237,7 @@ func (a *Array) complete(d *drive) {
 	d.busy = false
 	a.flushes++
 	a.onFlush(req)
-	a.kick(d)
+	a.kick(d, d.freeAt)
 }
 
 // nearest picks the pending request whose oid is circularly closest to the

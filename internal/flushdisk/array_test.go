@@ -321,3 +321,76 @@ func TestStatsEmpty(t *testing.T) {
 		t.Fatalf("empty stats %+v", s)
 	}
 }
+
+// lateClock is a clock whose handlers run late, as they do on the wall-clock
+// loop: advance moves the time first and only then fires what has come due,
+// in due order, every handler reading the new time.
+type lateClock struct {
+	now sim.Time
+	evs []lateEv
+}
+
+type lateEv struct {
+	at sim.Time
+	fn sim.Handler
+}
+
+func (c *lateClock) Now() sim.Time { return c.now }
+func (c *lateClock) At(t sim.Time, fn sim.Handler) sim.EventID {
+	c.evs = append(c.evs, lateEv{t, fn})
+	return 0
+}
+func (c *lateClock) After(d sim.Time, fn sim.Handler) sim.EventID { return c.At(c.now+d, fn) }
+
+func (c *lateClock) advance(to sim.Time) {
+	c.now = to
+	for {
+		due := -1
+		for i, e := range c.evs {
+			if e.at <= c.now && (due < 0 || e.at < c.evs[due].at) {
+				due = i
+			}
+		}
+		if due < 0 {
+			return
+		}
+		fn := c.evs[due].fn
+		c.evs = append(c.evs[:due], c.evs[due+1:]...)
+		fn()
+	}
+}
+
+// TestLateHandlersDoNotIdleTheDrive: a drive working through its queue
+// starts each request when the one before was done, not when the completion
+// handler got to run, so a clock that fires late costs the array no capacity;
+// a drive found idle starts at the time it is found.
+func TestLateHandlersDoNotIdleTheDrive(t *testing.T) {
+	clk := &lateClock{}
+	var got []Request
+	a := New(clk, 1, 20*sim.Microsecond, 1000, func(r Request) { got = append(got, r) })
+	for i := 0; i < 10; i++ {
+		a.Enqueue(Request{Obj: logrec.OID(10 * i), LSN: logrec.LSN(i + 1)})
+	}
+	clk.advance(sim.Millisecond) // one late pass: 200 µs of work is 1 ms overdue
+	if len(got) != 10 || a.PendingCount() != 0 {
+		t.Fatalf("%d of 10 queued flushes done 1 ms in, %d pending: the drive idled between requests", len(got), a.PendingCount())
+	}
+	for i, r := range got {
+		if r.Obj != logrec.OID(10*i) {
+			t.Fatalf("flush %d is object %d, want nearest-first order", i, r.Obj)
+		}
+	}
+	// Idle since 200 µs: a request found now starts now, not back then.
+	a.Enqueue(Request{Obj: 500, LSN: 11})
+	clk.advance(sim.Millisecond + 19*sim.Microsecond)
+	if len(got) != 10 {
+		t.Fatal("an idle drive served a request in less than its transfer time")
+	}
+	clk.advance(sim.Millisecond + 20*sim.Microsecond)
+	if len(got) != 11 {
+		t.Fatal("flush not done one transfer time after an idle drive took it")
+	}
+	if st := a.Stats(clk.Now()); st.Flushes != 11 || st.MaxPending != 9 {
+		t.Fatalf("Stats = %+v, want 11 flushes, peak backlog 9", st)
+	}
+}

@@ -30,6 +30,7 @@ const (
 	MetricBatchBytes      = "ellog_group_commit_batch_bytes"
 	MetricBatches         = "ellog_batches_total"
 	MetricFsyncs          = "ellog_fsyncs_total"
+	MetricPwrites         = "ellog_pwrites_total"
 	MetricPipelineStalls  = "ellog_pipeline_stalls_total"
 	MetricInflightBatches = "ellog_inflight_batches"
 	MetricTornFrames      = "ellog_torn_frames_total"
@@ -198,6 +199,8 @@ func HelpFor(family string) string {
 		return "Group-commit batches written."
 	case MetricFsyncs:
 		return "Fsync calls issued."
+	case MetricPwrites:
+		return "File writes issued, one per run of adjacent slots in a batch."
 	case MetricPipelineStalls:
 		return "Dispatches that waited on the in-flight fsync."
 	case MetricInflightBatches:

@@ -3,6 +3,7 @@ package realdev
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -68,6 +69,7 @@ type RealStats struct {
 	SlotBytes      int     `json:"slot_bytes"`       //
 	Batches        uint64  `json:"batches"`          // fsync groups shipped
 	Fsyncs         uint64  `json:"fsyncs"`           // == Batches (one fsync per group)
+	Pwrites        uint64  `json:"pwrites"`          // file writes issued: one per run of adjacent slots in a batch
 	PipelineStalls uint64  `json:"pipeline_stalls"`  // hand-overs that blocked on a full syncer queue
 	MaxBatchBlocks int     `json:"max_batch_blocks"` // largest group shipped
 	BatchMeanMS    float64 `json:"batch_mean_ms"`    // wall time per group, write+fsync
@@ -99,14 +101,16 @@ type slotWrite struct {
 }
 
 type batch struct {
-	writes []slotWrite
-	bytes  int
+	writes  []slotWrite
+	bytes   int
+	pwrites int // file writes the syncer issued for this batch; read in complete
 }
 
 // Device is a real-file core.LogDevice. Alloc and Write run on the loop
 // goroutine; completions are delivered back to it via realtime.Loop.Post, so
 // the manager keeps the single-threaded discipline it has under simulation.
-// One background goroutine — the syncer — performs the pwrite+fsync work.
+// One background goroutine — the syncer — performs the pwrite+fsync work: one
+// pwrite per run of slots adjacent in the file, then one fsync per batch.
 //
 // The device has no group-commit policy of its own: the logging manager alone
 // decides when a block is written, and the device writes what it is handed.
@@ -121,10 +125,15 @@ type batch struct {
 // throughput then depends on the split a run happens to fall into; at the
 // end of the turn there is one way to settle, every client in each batch.
 //
-// Ordering, per block: frame pwrite → fsync returns → completion Post →
-// done(err) on the loop goroutine. Lifecycle: open until Close or Abandon,
-// closed after; Write on a closed device is an invariant violation and
-// panics. Neither Close nor Abandon runs the loop or a completion callback.
+// Ordering, per block: the pwrite of the run holding its frame → fsync
+// returns → completion Post → done(err) on the loop goroutine. A run is one
+// write to the file, not one atomic unit: a crash may tear any slot of a run
+// in flight, and each slot is still judged on its own, by its frame CRC and
+// its block and record CRCs, as when every slot was its own write.
+//
+// Lifecycle: open until Close or Abandon, closed after; Write on a closed
+// device is an invariant violation and panics. Neither Close nor Abandon runs
+// the loop or a completion callback.
 type Device struct {
 	loop *realtime.Loop
 	opt  Options
@@ -140,6 +149,7 @@ type Device struct {
 	grow     func(int64) error // extends the file; d.f.Truncate outside tests
 	growErr  error             // last failed extension; cleared when a retry succeeds
 	cur      *batch            // writes waiting for the syncer to come free
+	spare    *batch            // a completed batch, emptied, for cur to reuse
 	handing  bool              // an end-of-turn hand-over is posted
 	inflight int               // batches handed over but not yet completed
 	pending  map[blockdev.BlockID]struct{}
@@ -158,15 +168,17 @@ type Device struct {
 	met *devMetrics
 
 	// Syncer plumbing.
-	ch    chan *batch
-	wg    sync.WaitGroup
-	fsync func() error // d.f.Sync outside tests
+	ch     chan *batch
+	wg     sync.WaitGroup
+	gather []byte                           // syncer only: one run of slots, grown to the largest run seen
+	pwrite func([]byte, int64) (int, error) // d.f.WriteAt outside tests
+	fsync  func() error                     // d.f.Sync outside tests
 }
 
 // devMetrics bundles the device's live registry instruments.
 type devMetrics struct {
-	batches, fsyncs, stalls   *live.Value
-	inflight                  *live.Value
+	batches, fsyncs, pwrites  *live.Value
+	stalls, inflight          *live.Value
 	fsyncLat, blocksH, bytesH *live.Histogram
 }
 
@@ -179,6 +191,7 @@ func (d *Device) SetMetrics(reg *live.Registry) {
 	d.met = &devMetrics{
 		batches:  reg.Counter(obs.MetricBatches, ""),
 		fsyncs:   reg.Counter(obs.MetricFsyncs, ""),
+		pwrites:  reg.Counter(obs.MetricPwrites, ""),
 		stalls:   reg.Counter(obs.MetricPipelineStalls, ""),
 		inflight: reg.Gauge(obs.MetricInflightBatches, ""),
 		fsyncLat: reg.Histogram(obs.MetricFsyncLatencyMS, "", obs.FsyncLatencyBucketsMS),
@@ -218,6 +231,7 @@ func Open(loop *realtime.Loop, dir string, opt Options) (*Device, error) {
 		ch:          make(chan *batch, syncQueue),
 	}
 	d.grow = f.Truncate
+	d.pwrite = f.WriteAt
 	d.fsync = f.Sync
 	d.stats.WritesPerGen = make(map[int]uint64)
 	d.pending = make(map[blockdev.BlockID]struct{})
@@ -306,9 +320,7 @@ func (d *Device) Write(id blockdev.BlockID, data []byte, done func(err error)) {
 	}
 	buf := d.takeBuf()
 	n := putFrame(buf, gen, data)
-	for i := n; i < len(buf); i++ {
-		buf[i] = 0
-	}
+	clear(buf[n:])
 	d.pending[id] = struct{}{}
 	w := slotWrite{
 		id:   id,
@@ -319,6 +331,9 @@ func (d *Device) Write(id blockdev.BlockID, data []byte, done func(err error)) {
 		done: done,
 	}
 	if d.cur == nil {
+		d.cur, d.spare = d.spare, nil
+	}
+	if d.cur == nil {
 		d.cur = &batch{}
 	}
 	d.cur.writes = append(d.cur.writes, w)
@@ -326,9 +341,10 @@ func (d *Device) Write(id blockdev.BlockID, data []byte, done func(err error)) {
 	d.handOver()
 }
 
-// handOver posts the one hand-over of this loop turn if there is a pending
-// batch and the syncer is free. Posted callbacks run ahead of the next
-// turn's timers, so the batch leaves as soon as the current handlers return.
+// handOver posts the one hand-over of this loop turn — the handler the loop
+// is running — if there is a pending batch and the syncer is free. Posted
+// callbacks run ahead of the next timer event, so the batch leaves as soon
+// as the current handler returns.
 func (d *Device) handOver() {
 	if d.cur == nil || d.inflight > 0 || d.handing {
 		return
@@ -387,13 +403,7 @@ func (d *Device) syncer() {
 	defer d.wg.Done()
 	for b := range d.ch {
 		t0 := time.Now()
-		var err error
-		for _, w := range b.writes {
-			if _, e := d.f.WriteAt(w.buf, w.off); e != nil {
-				err = e
-				break
-			}
-		}
+		err := d.writeRuns(b)
 		if err == nil {
 			err = d.fsync()
 		}
@@ -403,6 +413,40 @@ func (d *Device) syncer() {
 	}
 }
 
+// writeRuns puts the batch's slots in the file with one pwrite per maximal
+// run of writes whose slots are adjacent (a generation's ring is allocated
+// consecutively and claimed in ring order, so a batch is one run except
+// where it wraps or mixes generations). Each slot is copied whole — frame
+// and zero padding — into the gather buffer, so the bytes on disk are those
+// of one pwrite per slot. The first failed or short pwrite stops the batch.
+// Syncer goroutine only.
+func (d *Device) writeRuns(b *batch) error {
+	slot := d.opt.SlotBytes
+	for ws := b.writes; len(ws) > 0; {
+		n := 1
+		for n < len(ws) && ws[n].off == ws[n-1].off+int64(slot) {
+			n++
+		}
+		if n*slot > len(d.gather) {
+			d.gather = allocAligned(max(n*slot, 2*len(d.gather)), d.direct)
+		}
+		run := d.gather[:n*slot]
+		for i, w := range ws[:n] {
+			copy(run[i*slot:], w.buf)
+		}
+		b.pwrites++
+		m, err := d.pwrite(run, ws[0].off)
+		if err == nil && m < len(run) {
+			err = io.ErrShortWrite
+		}
+		if err != nil {
+			return err
+		}
+		ws = ws[n:]
+	}
+	return nil
+}
+
 // complete runs on the loop goroutine: all stats mutation and completion
 // callbacks happen here, never on the syncer. What queued while this fsync
 // ran leaves at the end of the turn, with what the callbacks add to it.
@@ -410,8 +454,10 @@ func (d *Device) complete(b *batch, err error, ms float64) {
 	d.inflight--
 	d.handOver()
 	d.batchLat.Observe(ms)
+	d.rs.Pwrites += uint64(b.pwrites)
 	if d.met != nil {
 		d.met.fsyncLat.Observe(ms)
+		d.met.pwrites.Add(float64(b.pwrites))
 		d.met.inflight.Set(float64(d.inflight))
 	}
 	for _, w := range b.writes {
@@ -428,6 +474,9 @@ func (d *Device) complete(b *batch, err error, ms float64) {
 	for _, w := range b.writes {
 		w.done(err)
 	}
+	clear(b.writes) // drop the callbacks and buffers before the batch is reused
+	*b = batch{writes: b.writes[:0]}
+	d.spare = b
 }
 
 // Stats returns cumulative write statistics in the simulated device's

@@ -1,8 +1,11 @@
 // Package realdev binds the logging-manager core to a real file: the
 // second implementation of core.LogDevice, writing the exact logrec block
 // images the simulated device holds — but to fixed-size, alignment-friendly
-// slots of an ordinary file, batched BtrLog-style (size- and timeout-based
-// group commit with pipelined fsyncs) and made durable by fsync.
+// slots of an ordinary file, made durable by fsync. The device has no
+// group-commit policy of its own: what the manager wrote during a loop turn
+// is handed to the syncer once, at the end of the turn (or of the turn in
+// which the fsync ahead of it completes), and reaches the file as one pwrite
+// per run of adjacent slots followed by one fsync per batch.
 //
 // Like internal/realtime, this package lives outside the determinism
 // contract: it reads the wall clock and its timings are not reproducible

@@ -95,10 +95,13 @@ func (l *Loop) After(d sim.Time, fn sim.Handler) sim.EventID {
 	return l.At(l.Now()+d, fn)
 }
 
-// Post hands a callback to the loop from another goroutine; it runs on the
-// loop goroutine, before any timer event, on the next pass. This is how
+// Post hands a callback to the loop, from another goroutine or from a
+// handler on the loop itself; it runs on the loop goroutine ahead of the
+// next timer event, however many of those are already due. This is how
 // the real device's fsync worker delivers write completions without the
-// manager ever seeing a second thread.
+// manager ever seeing a second thread, and how the device ships what one
+// handler wrote as soon as that handler returns: a batch must not wait
+// behind a backlog of due timers that have nothing to add to it.
 func (l *Loop) Post(fn func()) {
 	l.mu.Lock()
 	l.posted = append(l.posted, fn)
@@ -109,8 +112,9 @@ func (l *Loop) Post(fn func()) {
 	}
 }
 
-// Run dispatches posted callbacks and due timer events until the wall
-// clock passes the until time. Timer events scheduled beyond the horizon
+// Run dispatches posted callbacks and due timer events — the mailbox is
+// emptied before each timer event — until the wall clock passes the until
+// time. Timer events scheduled beyond the horizon
 // stay pending, exactly like sim.Engine.Run; repeated calls with a later
 // horizon continue the run. Run returns with the loop idle at or past
 // until.
@@ -122,6 +126,7 @@ func (l *Loop) Run(until sim.Time) {
 			e := heap.Pop(&l.evs).(*ev)
 			l.fired++
 			e.fn()
+			l.drainPosted()
 		}
 		now = l.Now()
 		if now >= until {

@@ -115,6 +115,22 @@ func TestRunAtHorizonDrainsWithoutSleeping(t *testing.T) {
 	}
 }
 
+// TestPostRunsAheadOfDueTimers: a callback posted by a handler runs when
+// that handler returns, not behind the timer events that are already due.
+func TestPostRunsAheadOfDueTimers(t *testing.T) {
+	l := New(1)
+	var got []string
+	l.At(0, func() {
+		got = append(got, "first")
+		l.Post(func() { got = append(got, "post") })
+	})
+	l.At(0, func() { got = append(got, "second") })
+	l.Run(0)
+	if len(got) != 3 || got[0] != "first" || got[1] != "post" || got[2] != "second" {
+		t.Fatalf("pass ran %v, want [first post second]", got)
+	}
+}
+
 func TestRandIsSeededDeterministically(t *testing.T) {
 	a, b := New(42), New(42)
 	for i := 0; i < 16; i++ {
