@@ -37,7 +37,6 @@ import (
 	"ellog/internal/recovery"
 	"ellog/internal/sim"
 	"ellog/internal/statedb"
-	"ellog/internal/trace"
 	"ellog/internal/workload"
 )
 
@@ -50,7 +49,6 @@ func main() {
 		seed       = flag.Uint64("seed", 0, "override: random seed for the workload schedule")
 		compressed = flag.Bool("compressed", false, "use a 100x-compressed paper mix (10/50 ms transactions at 400 TPS)")
 		direct     = flag.String("direct", "auto", "direct I/O: auto|on|off")
-		sampleMS   = flag.Float64("sample-ms", 0, "sample the commit curve at this cadence in ms (0 = off)")
 		jsonPath   = flag.String("json", "", "write the machine-readable result to this path")
 		doRecover  = flag.Bool("recover", false, "recover from -dir instead of running a workload")
 		verbose    = flag.Bool("v", false, "also print workload statistics")
@@ -58,7 +56,6 @@ func main() {
 		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus /metrics, /metrics.json and pprof on this address during the run (e.g. 127.0.0.1:9188 or :0)")
 		watchSec    = flag.Float64("watch", 0, "print a one-line live dashboard to stderr at this cadence in seconds (0 = off)")
 		traceOut    = flag.String("trace-out", "", "stream trace events to this file (eltrace-compatible; the loop clock is the trace clock)")
-		traceFmt    = flag.String("trace-format", "jsonl", "trace stream format: jsonl or binary")
 		probesOut   = flag.String("probes-out", "", "sample standard ellog_* probes and write the series JSON to this file")
 		probeMS     = flag.Float64("probe-ms", 100, "probe sampling cadence in ms (with -probes-out)")
 	)
@@ -114,13 +111,17 @@ func main() {
 	}
 
 	rc := realdev.RunConfig{
-		Seed:        hc.Seed,
-		Dir:         *dir,
-		LM:          hc.LM,
-		Flush:       hc.Flush,
-		Workload:    hc.Workload,
-		Device:      realdev.Options{Direct: realdev.DirectMode(*direct)},
-		SampleEvery: sim.Time(*sampleMS * float64(sim.Millisecond)),
+		Seed:     hc.Seed,
+		Dir:      *dir,
+		LM:       hc.LM,
+		Flush:    hc.Flush,
+		Workload: hc.Workload,
+		Device:   realdev.Options{Direct: realdev.DirectMode(*direct)},
+	}
+	ocfg := obs.Config{
+		TracePath:      *traceOut,
+		ProbesPath:     *probesOut,
+		SampleInterval: sim.Time(*probeMS * float64(sim.Millisecond)),
 	}
 
 	var reg *live.Registry
@@ -128,35 +129,21 @@ func main() {
 		reg = live.NewRegistry()
 		rc.Metrics = reg
 	}
-	var traceFile *os.File
-	var traceFlush func() error
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fatal(err)
-		}
-		traceFile = f
-		var sink trace.Sink
-		switch *traceFmt {
-		case "", "jsonl":
-			s := obs.NewJSONLSink(f)
-			sink, traceFlush = s, s.Flush
-		case "binary":
-			s := obs.NewBinarySink(f)
-			sink, traceFlush = s, s.Flush
-		default:
-			fatal(fmt.Errorf("unknown trace format %q (want jsonl or binary)", *traceFmt))
-		}
-		rc.Tracer = sink
-	}
-	if *probesOut != "" {
-		rc.ProbeEvery = sim.Time(*probeMS * float64(sim.Millisecond))
-	}
-
+	var observer *obs.Observer // nil, and inert, when nothing is armed
 	var srv *live.Server
+	assembled := false
 	watchDone := make(chan struct{})
 	watchExited := make(chan struct{})
 	rc.OnLive = func(l *realdev.Live) {
+		assembled = true
+		// The same observer elsim arms after harness.Build, on the loop's
+		// clock.
+		var err error
+		observer, err = obs.New(l.Loop, l.Targets(), ocfg)
+		if err != nil {
+			fatal(err)
+		}
+		l.LM.SetTracer(observer.Sink())
 		if *metricsAddr != "" {
 			s, err := live.Serve(*metricsAddr, reg, l.Loop.Now)
 			if err != nil {
@@ -172,36 +159,21 @@ func main() {
 		}
 	}
 
-	res, err := realdev.Run(rc)
-	if err != nil {
-		fatal(err)
+	// A failed or insufficient run is the one whose trace and probes get
+	// read: every output is written before the exit status is decided.
+	res, runErr := realdev.Run(rc)
+	if !assembled {
+		fatal(runErr) // nothing ran, so there is nothing to write
 	}
 	close(watchDone)
 	<-watchExited
 	if srv != nil {
 		srv.Close()
 	}
-	if traceFlush != nil {
-		if err := traceFlush(); err != nil {
-			fatal(err)
-		}
-		if err := traceFile.Close(); err != nil {
-			fatal(err)
-		}
+	if s := observer.Sampler(); s != nil {
+		fmt.Printf("probes: %d series -> %s\n", len(s.Series()), *probesOut)
 	}
-	if *probesOut != "" {
-		f, err := os.Create(*probesOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := obs.WriteSeriesJSON(f, rc.ProbeEvery, res.Probes); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("probes: %d series -> %s\n", len(res.Probes), *probesOut)
-	}
+	obsErr := observer.Close()
 	printResult(rc, res, *verbose)
 	if *jsonPath != "" {
 		writeJSON(*jsonPath, map[string]any{
@@ -209,8 +181,13 @@ func main() {
 			"lm":       res.LM,
 			"workload": res.Workload,
 			"real":     res.Real,
-			"curve":    res.Curve,
 		})
+	}
+	if runErr != nil {
+		fatal(runErr)
+	}
+	if obsErr != nil {
+		fatal(obsErr)
 	}
 	if res.Insufficient() {
 		fatal(fmt.Errorf("insufficient log space: %d killed, %d emergency blocks, %d refugee stalls",

@@ -50,7 +50,6 @@ func main() {
 		seeds      = flag.Int("seeds", 1, "fan the configuration across this many consecutive seeds")
 		parallel   = flag.Int("parallel", 0, "max concurrent simulations when -seeds > 1 (0 = GOMAXPROCS)")
 		traceOut   = flag.String("trace-out", "", "stream every trace event to this file (inspect with eltrace)")
-		traceFmt   = flag.String("trace-format", "", "trace-out format: jsonl (default) or binary")
 		probesOut  = flag.String("probes-out", "", "sample standard probes and write the series JSON to this file")
 		probeMS    = flag.Int64("probe-ms", 0, "probe sampling cadence in simulated ms (default 100)")
 		plot       = flag.String("plot", "", "after the run, ASCII-plot the first sampled series whose name contains this substring (needs -probes-out)")
@@ -130,7 +129,7 @@ func main() {
 		if cfg.Shards < 1 {
 			cfg.Shards = 1 // single-LP run: the sequential reduction
 		}
-		runPDES(cfg, *pdes, *traceOut, *traceFmt, *probesOut, *probeMS, *verbose)
+		runPDES(cfg, *pdes, *traceOut, *probesOut, *probeMS, *verbose)
 		return
 	}
 
@@ -153,9 +152,6 @@ func main() {
 	}
 	if *traceOut != "" {
 		ocfg.TracePath = *traceOut
-	}
-	if *traceFmt != "" {
-		ocfg.TraceFormat = *traceFmt
 	}
 	if *probesOut != "" {
 		ocfg.ProbesPath = *probesOut
@@ -188,7 +184,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	observer, err := obs.New(live.Setup, ocfg)
+	observer, err := obs.New(live.Setup.Eng, obs.SetupTargets(live.Setup), ocfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -282,7 +278,7 @@ func main() {
 // stderr only — stdout (and the per-LP trace files) are a fixed function
 // of (seed, config), which is exactly what the CI determinism matrix
 // diffs across worker counts.
-func runPDES(cfg config.SimConfig, workers int, traceOut, traceFmt, probesOut string, probeMS int64, verbose bool) {
+func runPDES(cfg config.SimConfig, workers int, traceOut, probesOut string, probeMS int64, verbose bool) {
 	pcfg, err := cfg.ToPDES(workers)
 	if err != nil {
 		fatal(err)
@@ -301,8 +297,8 @@ func runPDES(cfg config.SimConfig, workers int, traceOut, traceFmt, probesOut st
 	var observers []*obs.Observer
 	if traceOut != "" {
 		for i, s := range live.Shards {
-			ocfg := obs.Config{TracePath: fmt.Sprintf("%s.lp%d", traceOut, i), TraceFormat: traceFmt}
-			o, err := obs.New(s.Setup, ocfg)
+			ocfg := obs.Config{TracePath: fmt.Sprintf("%s.lp%d", traceOut, i)}
+			o, err := obs.New(s.LP.Engine, obs.SetupTargets(s.Setup), ocfg)
 			if err != nil {
 				fatal(err)
 			}
@@ -323,8 +319,7 @@ func runPDES(cfg config.SimConfig, workers int, traceOut, traceFmt, probesOut st
 		for i, s := range live.Shards {
 			smp := obs.NewSampler(s.LP.Engine, interval, 0)
 			lp := strconv.Itoa(i)
-			targets := obs.ProbeTargets{LM: s.Setup.LM, Dev: s.Setup.Dev, Flush: s.Setup.Flush}
-			for _, p := range obs.StandardProbes(targets) {
+			for _, p := range obs.StandardProbes(obs.SetupTargets(s.Setup)) {
 				smp.Register(obs.WithLabel(p.Name, "lp", lp), p.Fn)
 			}
 			smp.Start()

@@ -28,7 +28,7 @@ import (
 
 func main() {
 	var (
-		in        = flag.String("in", "", "input trace file (JSONL or binary, auto-detected)")
+		in        = flag.String("in", "", "input trace file (JSONL, ellog-trace/1)")
 		tail      = flag.Int("tail", 0, "print the last N events")
 		txQ       = flag.Uint64("tx", 0, "reconstruct this transaction's lifecycle (t1…t5)")
 		objQ      = flag.Int64("obj", -1, "reconstruct this object's version history")

@@ -92,8 +92,6 @@ type ObsJSON struct {
 	MaxPoints int `json:"max_points,omitempty"`
 	// TracePath streams every trace event to this file.
 	TracePath string `json:"trace_path,omitempty"`
-	// TraceFormat is "jsonl" (default) or "binary".
-	TraceFormat string `json:"trace_format,omitempty"`
 	// ProbesPath writes the sampled series snapshot to this file.
 	ProbesPath string `json:"probes_path,omitempty"`
 }
@@ -104,7 +102,6 @@ func (o ObsJSON) ToObs() obs.Config {
 		SampleInterval: sim.Time(o.SampleIntervalMS) * sim.Millisecond,
 		MaxPoints:      o.MaxPoints,
 		TracePath:      o.TracePath,
-		TraceFormat:    o.TraceFormat,
 		ProbesPath:     o.ProbesPath,
 	}
 }

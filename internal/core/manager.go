@@ -81,11 +81,11 @@ type Manager struct {
 }
 
 // New builds a Manager. The flush array's completion callback must be
-// wired to the returned manager via its Flushed method; NewSetup does the
-// whole assembly and is what most callers want. clk and dev decide the
-// binding: a *sim.Engine and *blockdev.Device give the paper's simulation,
-// a realtime.Loop and realdev.Device the real-file backend — the manager
-// itself is identical code either way.
+// wired to the returned manager via its Flushed method; Assemble does that,
+// and NewSetup does the whole assembly and is what most callers want. clk
+// and dev decide the binding: a *sim.Engine and *blockdev.Device give the
+// paper's simulation, a realtime.Loop and realdev.Device the real-file
+// backend — the manager itself is identical code either way.
 func New(clk sim.Clock, p Params, dev LogDevice, flush *flushdisk.Array, db *statedb.DB) (*Manager, error) {
 	p = p.WithDefaults()
 	if err := p.Validate(); err != nil {
@@ -130,19 +130,26 @@ type FlushConfig struct {
 // the log device at the manager's write latency and a flush array whose
 // completions feed back into the manager.
 func NewSetup(eng *sim.Engine, p Params, fc FlushConfig) (*Setup, error) {
-	p = p.WithDefaults()
-	dev := blockdev.New(eng, p.WriteLatency)
-	db := statedb.New()
-	var m *Manager
-	flush := flushdisk.New(eng, fc.Drives, fc.Transfer, fc.NumObjects, func(req flushdisk.Request) {
-		m.Flushed(req)
-	})
-	var err error
-	m, err = New(eng, p, dev, flush, db)
+	dev := blockdev.New(eng, p.WithDefaults().WriteLatency)
+	m, flush, err := Assemble(eng, p, dev, fc)
 	if err != nil {
 		return nil, err
 	}
-	return &Setup{Eng: eng, Dev: dev, Flush: flush, DB: db, LM: m}, nil
+	return &Setup{Eng: eng, Dev: dev, Flush: flush, DB: m.DB(), LM: m}, nil
+}
+
+// Assemble wires a Manager to the substrate every binding shares — an empty
+// stable database and a flush array whose completions feed back into the
+// manager — on the clock and log device that make the binding: NewSetup
+// passes the engine and a simulated device, realdev.Build the wall-clock
+// loop and a file.
+func Assemble(clk sim.Clock, p Params, dev LogDevice, fc FlushConfig) (*Manager, *flushdisk.Array, error) {
+	var m *Manager
+	flush := flushdisk.New(clk, fc.Drives, fc.Transfer, fc.NumObjects, func(req flushdisk.Request) {
+		m.Flushed(req)
+	})
+	m, err := New(clk, p, dev, flush, statedb.New())
+	return m, flush, err
 }
 
 // SetKillHandler registers a callback invoked whenever the manager kills a

@@ -72,7 +72,8 @@ type SimVsRealResult struct {
 	IO   realdev.RealStats
 
 	// MaxCurveDev is the largest pointwise gap between the two normalized
-	// commit curves, measured at CurvePoints checkpoints.
+	// commit curves — the ellog_commits_total series of both sides —
+	// measured at CurvePoints checkpoints.
 	MaxCurveDev     float64
 	CurvePoints     int
 	Tolerance       float64
@@ -143,28 +144,21 @@ func SimVsReal(opt Options) (SimVsRealResult, error) {
 	res.NumObjects = wl.NumObjects
 	sampleEvery := runtime / 100
 
-	// Simulated side, with the same commit-curve sampling the real run does.
+	// Both sides sample the canonical probe schema at the same cadence: the
+	// simulated side on the engine, the real side on the loop.
+	arm := func(clk sim.Clock, t obs.ProbeTargets) *obs.Sampler {
+		s := obs.NewSampler(clk, sampleEvery, 0)
+		obs.RegisterProbes(s, obs.StandardProbes(t))
+		s.Start()
+		return s
+	}
+
+	// Simulated side.
 	live, err := harness.Build(harness.Config{Seed: opt.Seed, LM: p, Flush: fc, Workload: wl})
 	if err != nil {
 		return res, err
 	}
-	var simCurve []realdev.CurvePoint
-	var sample func()
-	sample = func() {
-		simCurve = append(simCurve, realdev.CurvePoint{
-			At:        live.Setup.Eng.Now(),
-			Committed: live.Gen.Committed(),
-		})
-		if live.Setup.Eng.Now() < runtime {
-			live.Setup.Eng.After(sampleEvery, sample)
-		}
-	}
-	live.Setup.Eng.After(sampleEvery, sample)
-	// The canonical probe schema on the simulated clock; the real side
-	// samples the same names at the same cadence via RunConfig.ProbeEvery.
-	simSampler := obs.NewSampler(live.Setup.Eng, sampleEvery, 0)
-	obs.RegisterStandardProbes(simSampler, live.Setup)
-	simSampler.Start()
+	simSampler := arm(live.Setup.Eng, obs.SetupTargets(live.Setup))
 	live.Setup.Eng.Run(runtime)
 	simStats := live.Setup.LM.Stats()
 	simW := live.Gen.Stats()
@@ -188,6 +182,7 @@ func SimVsReal(opt Options) (SimVsRealResult, error) {
 		dir = tmp
 	}
 	direct := realdev.DirectMode(opt.RealDirect)
+	var realSampler *obs.Sampler
 	// The entire point of this experiment is to run the identical
 	// workload against the wall clock and compare; the deterministic sim
 	// half above is unaffected, and callers (cmd/elbench -simvreal)
@@ -195,14 +190,13 @@ func SimVsReal(opt Options) (SimVsRealResult, error) {
 	// summary, so merely linking it does not taint the bench harness.
 	//ellint:allow detflow sim-vs-real validation deliberately drives the wall-clock backend
 	realRes, err := realdev.Run(realdev.RunConfig{
-		Seed:        opt.Seed,
-		Dir:         dir,
-		LM:          p,
-		Flush:       fc,
-		Workload:    wl,
-		Device:      realdev.Options{Direct: direct},
-		SampleEvery: sampleEvery,
-		ProbeEvery:  sampleEvery,
+		Seed:     opt.Seed,
+		Dir:      dir,
+		LM:       p,
+		Flush:    fc,
+		Workload: wl,
+		Device:   realdev.Options{Direct: direct},
+		OnLive:   func(l *realdev.Live) { realSampler = arm(l.Loop, l.Targets()) },
 	})
 	if err != nil {
 		return res, err
@@ -222,17 +216,20 @@ func SimVsReal(opt Options) (SimVsRealResult, error) {
 			res.Sim.Committed, res.Real.Committed)
 	}
 	res.CurvePoints = 100
-	res.MaxCurveDev = maxDeviation(commitCurve(simCurve), commitCurve(realRes.Curve), runtime, res.CurvePoints)
-	res.WithinTolerance = res.MaxCurveDev <= res.Tolerance
-
 	res.SeriesTolerance = SimVsRealSeriesTolerance
-	res.Series = compareSeries(simSampler.Series(), realRes.Probes, runtime, res.CurvePoints)
+	res.Series = compareSeries(simSampler.Series(), realSampler.Series(), runtime, res.CurvePoints)
 	res.SeriesOK = true
 	for _, sd := range res.Series {
 		if sd.Gated && sd.MaxDev > res.SeriesTolerance {
 			res.SeriesOK = false
 		}
+		// The commit curve is one of the shared series, held to the tighter
+		// tolerance as well.
+		if sd.Name == obs.MetricCommits {
+			res.MaxCurveDev = sd.MaxDev
+		}
 	}
+	res.WithinTolerance = res.MaxCurveDev <= res.Tolerance
 	return res, nil
 }
 
@@ -265,22 +262,12 @@ func compareSeries(simS, realS []obs.Series, runtime sim.Time, n int) []SeriesDe
 	return out
 }
 
-// fcurve is a sampled cumulative curve. Commit curves and probe series
-// both normalize through it, so the same shape gate serves both.
+// fcurve is a sampled cumulative curve.
 type fcurve []fpoint
 
 type fpoint struct {
 	at sim.Time
 	v  float64
-}
-
-// commitCurve adapts the realdev commit-curve samples.
-func commitCurve(c []realdev.CurvePoint) fcurve {
-	out := make(fcurve, len(c))
-	for i, p := range c {
-		out[i] = fpoint{p.At, float64(p.Committed)}
-	}
-	return out
 }
 
 // probeCurve adapts one sampled probe series. Sampler points carry a

@@ -1,9 +1,8 @@
 // Package obs is the simulated-time observability layer: a probe sampler
-// turning component gauges into memory-bounded time series, streaming
-// trace sinks (JSONL and compact binary) that persist the full event
-// stream of a run, a Chrome trace-event / Perfetto exporter, and a
-// transaction-lifecycle explainer reconstructing the paper's t1…t5
-// epochs from a recorded trace.
+// turning component gauges into memory-bounded time series, a streaming
+// JSONL trace sink that persists the full event stream of a run, a Chrome
+// trace-event / Perfetto exporter, and a transaction-lifecycle explainer
+// reconstructing the paper's t1…t5 epochs from a recorded trace.
 //
 // Everything here follows the fault subsystem's contract: hooks are
 // nil-gated, probes only read state, and sampler ticks consume no
@@ -33,8 +32,6 @@ type Config struct {
 	MaxPoints int
 	// TracePath, when set, streams every trace event to this file.
 	TracePath string
-	// TraceFormat selects "jsonl" (default) or "binary" for TracePath.
-	TraceFormat string
 	// ProbesPath, when set, samples standard probes and writes the series
 	// snapshot to this file at Close.
 	ProbesPath string
@@ -48,15 +45,16 @@ func (c Config) Armed() bool { return c.TracePath != "" || c.ProbesPath != "" }
 type Observer struct {
 	cfg     Config
 	sampler *Sampler
-	sink    trace.Sink
-	flush   func() error
+	sink    *JSONLSink
 	file    *os.File
 }
 
-// New arms observability on an assembled setup per cfg. With a disarmed
-// cfg it returns (nil, nil), and a nil *Observer's methods are safe: no
-// sink, no sampler, Close is a no-op — callers need no branching.
-func New(setup *core.Setup, cfg Config) (*Observer, error) {
+// New arms observability per cfg on the components named by t, with the
+// sampler ticking on clk — a simulation engine, an LP's engine or the real
+// backend's loop. With a disarmed cfg it returns (nil, nil), and a nil
+// *Observer's methods are safe: no sink, no sampler, Close is a no-op —
+// callers need no branching.
+func New(clk sim.Clock, t ProbeTargets, cfg Config) (*Observer, error) {
 	if !cfg.Armed() {
 		return nil, nil
 	}
@@ -67,21 +65,11 @@ func New(setup *core.Setup, cfg Config) (*Observer, error) {
 			return nil, fmt.Errorf("obs: trace output: %w", err)
 		}
 		o.file = f
-		switch cfg.TraceFormat {
-		case "", "jsonl":
-			s := NewJSONLSink(f)
-			o.sink, o.flush = s, s.Flush
-		case "binary":
-			s := NewBinarySink(f)
-			o.sink, o.flush = s, s.Flush
-		default:
-			f.Close()
-			return nil, fmt.Errorf("obs: unknown trace format %q (want jsonl or binary)", cfg.TraceFormat)
-		}
+		o.sink = NewJSONLSink(f)
 	}
 	if cfg.ProbesPath != "" {
-		o.sampler = NewSampler(setup.Eng, cfg.SampleInterval, cfg.MaxPoints)
-		RegisterStandardProbes(o.sampler, setup)
+		o.sampler = NewSampler(clk, cfg.SampleInterval, cfg.MaxPoints)
+		RegisterProbes(o.sampler, StandardProbes(t))
 		o.sampler.Start()
 	}
 	return o, nil
@@ -90,7 +78,7 @@ func New(setup *core.Setup, cfg Config) (*Observer, error) {
 // Sink returns the streaming trace sink, nil when streaming is off (or
 // o is nil). Compose it with other sinks via Multi.
 func (o *Observer) Sink() trace.Sink {
-	if o == nil {
+	if o == nil || o.sink == nil {
 		return nil
 	}
 	return o.sink
@@ -111,11 +99,9 @@ func (o *Observer) Close() error {
 		return nil
 	}
 	var first error
-	if o.flush != nil {
-		if err := o.flush(); err != nil && first == nil {
-			first = err
-		}
-		o.flush = nil
+	if o.sink != nil {
+		first = o.sink.Flush()
+		o.sink = nil
 	}
 	if o.file != nil {
 		if err := o.file.Close(); err != nil && first == nil {
@@ -142,15 +128,9 @@ func (o *Observer) Close() error {
 	return first
 }
 
-// RegisterStandardProbes wires every level the paper's evaluation tracks
-// under the canonical ellog_* schema: per-generation occupancy, size and
-// live records, LOT/LTT/memory, commit and byte counters, log block
-// writes, and the flush array's backlog and completions. Registration
-// order is deterministic (generation-major, then tables, then devices) so
-// probe dumps diff cleanly across runs, and every name matches what a
-// real-mode /metrics endpoint serves.
-func RegisterStandardProbes(s *Sampler, setup *core.Setup) {
-	RegisterProbes(s, StandardProbes(ProbeTargets{LM: setup.LM, Dev: setup.Dev, Flush: setup.Flush}))
+// SetupTargets names a simulated setup's components as probe targets.
+func SetupTargets(s *core.Setup) ProbeTargets {
+	return ProbeTargets{LM: s.LM, Dev: s.Dev, Flush: s.Flush}
 }
 
 // multiSink fans one event out to several sinks in order.

@@ -52,7 +52,7 @@ func capturedRun(t *testing.T, seed uint64) (*harness.Live, *Capture, *Sampler) 
 	capture := &Capture{}
 	live.Setup.LM.SetTracer(capture)
 	s := NewSampler(live.Setup.Eng, 50*sim.Millisecond, 64)
-	RegisterStandardProbes(s, live.Setup)
+	RegisterProbes(s, StandardProbes(SetupTargets(live.Setup)))
 	s.Start()
 	live.Setup.Eng.Run(cfg.Workload.Runtime + 10*sim.Second)
 	if len(capture.Events) == 0 {
@@ -78,7 +78,7 @@ func TestTracedRunStatsByteIdentical(t *testing.T) {
 	capture := &Capture{}
 	live.Setup.LM.SetTracer(capture)
 	s := NewSampler(live.Setup.Eng, 50*sim.Millisecond, 64)
-	RegisterStandardProbes(s, live.Setup)
+	RegisterProbes(s, StandardProbes(SetupTargets(live.Setup)))
 	s.Start()
 	live.Setup.Eng.Run(cfg.Workload.Runtime)
 	traced := harness.Result{LM: live.Setup.LM.Stats(), Workload: live.Gen.Stats()}
@@ -212,44 +212,41 @@ func TestExplainReconstructsLifecycle(t *testing.T) {
 
 func TestObserverEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	var decoded [][]trace.Event
-	for _, format := range []string{"jsonl", "binary"} {
-		cfg := obsBase(4)
-		live, err := harness.Build(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tracePath := filepath.Join(dir, "trace."+format)
-		probesPath := filepath.Join(dir, "probes."+format+".json")
-		o, err := New(live.Setup, Config{
-			TracePath: tracePath, TraceFormat: format,
-			ProbesPath: probesPath, SampleInterval: 50 * sim.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		live.Setup.LM.SetTracer(o.Sink())
-		live.Setup.Eng.Run(cfg.Workload.Runtime)
-		if err := o.Close(); err != nil {
-			t.Fatal(err)
-		}
-		events, err := ReadTraceFile(tracePath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		decoded = append(decoded, events)
-		if _, series, err := ReadProbesFile(probesPath); err != nil || len(series) == 0 {
-			t.Fatalf("probes file: %d series, err %v", len(series), err)
-		}
+	cfg := obsBase(4)
+	live, err := harness.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Same run, two wire formats: identical event streams.
-	if !reflect.DeepEqual(decoded[0], decoded[1]) {
-		t.Fatalf("jsonl and binary traces differ (%d vs %d events)", len(decoded[0]), len(decoded[1]))
+	capture := &Capture{}
+	tracePath := filepath.Join(dir, "trace.jsonl")
+	probesPath := filepath.Join(dir, "probes.json")
+	o, err := New(live.Setup.Eng, SetupTargets(live.Setup), Config{
+		TracePath:  tracePath,
+		ProbesPath: probesPath, SampleInterval: 50 * sim.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live.Setup.LM.SetTracer(Multi(capture, o.Sink()))
+	live.Setup.Eng.Run(cfg.Workload.Runtime)
+	if err := o.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := ReadTraceFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The file holds the run's event stream, whole and in order.
+	if len(events) == 0 || !reflect.DeepEqual(events, capture.Events) {
+		t.Fatalf("trace file holds %d events, the run emitted %d", len(events), len(capture.Events))
+	}
+	if _, series, err := ReadProbesFile(probesPath); err != nil || len(series) == 0 {
+		t.Fatalf("probes file: %d series, err %v", len(series), err)
 	}
 }
 
 func TestObserverDisarmed(t *testing.T) {
-	o, err := New(nil, Config{})
+	o, err := New(nil, ProbeTargets{}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package obs
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -18,9 +17,6 @@ import (
 // TraceSchema names the JSONL trace wire format: one header line
 // {"schema":"ellog-trace/1"} followed by one event object per line.
 const TraceSchema = "ellog-trace/1"
-
-// binaryMagic opens the compact binary trace format.
-const binaryMagic = "ellogbin1\n"
 
 // JSONLSink streams trace events as JSON lines through a buffered
 // writer. Emit never allocates beyond the sink's reusable line buffer, so
@@ -76,49 +72,6 @@ func (s *JSONLSink) Emit(e trace.Event) {
 
 // Flush drains the buffer and reports any write error seen so far.
 func (s *JSONLSink) Flush() error {
-	if s.err != nil {
-		return s.err
-	}
-	return s.w.Flush()
-}
-
-// BinarySink streams events in a compact varint format: ~6–12 bytes per
-// event instead of ~70 for JSONL. Times are delta-encoded (emission is
-// monotonic in simulated time).
-type BinarySink struct {
-	w      *bufio.Writer
-	lastAt sim.Time
-	buf    []byte
-	err    error
-}
-
-// NewBinarySink wraps w and writes the magic header.
-func NewBinarySink(w io.Writer) *BinarySink {
-	s := &BinarySink{w: bufio.NewWriterSize(w, 1<<16), buf: make([]byte, 0, 64)}
-	_, s.err = s.w.WriteString(binaryMagic)
-	return s
-}
-
-// Emit implements trace.Sink.
-func (s *BinarySink) Emit(e trace.Event) {
-	if s.err != nil {
-		return
-	}
-	b := s.buf[:0]
-	b = binary.AppendUvarint(b, uint64(e.Kind))
-	b = binary.AppendUvarint(b, uint64(e.At-s.lastAt))
-	s.lastAt = e.At
-	b = binary.AppendVarint(b, int64(e.Gen))
-	b = binary.AppendUvarint(b, uint64(e.Tx))
-	b = binary.AppendUvarint(b, uint64(e.Obj))
-	b = binary.AppendUvarint(b, uint64(e.LSN))
-	b = binary.AppendVarint(b, int64(e.N))
-	s.buf = b
-	_, s.err = s.w.Write(b)
-}
-
-// Flush drains the buffer and reports any write error seen so far.
-func (s *BinarySink) Flush() error {
 	if s.err != nil {
 		return s.err
 	}
@@ -191,78 +144,14 @@ func ReadJSONL(r io.Reader) ([]trace.Event, error) {
 	return out, nil
 }
 
-// ReadBinary decodes the compact binary trace format.
-func ReadBinary(r io.Reader) ([]trace.Event, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("reading magic: %w", err)
-	}
-	if string(magic) != binaryMagic {
-		return nil, fmt.Errorf("not an ellog binary trace (magic %q)", magic)
-	}
-	var out []trace.Event
-	var lastAt sim.Time
-	for {
-		kind, err := binary.ReadUvarint(br)
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("event %d: %w", len(out), err)
-		}
-		if kind == 0 || kind > uint64(trace.EvMove) {
-			return nil, fmt.Errorf("event %d: invalid kind %d", len(out), kind)
-		}
-		dAt, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("event %d: at: %w", len(out), err)
-		}
-		gen, err := binary.ReadVarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("event %d: gen: %w", len(out), err)
-		}
-		tx, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("event %d: tx: %w", len(out), err)
-		}
-		obj, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("event %d: obj: %w", len(out), err)
-		}
-		lsn, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("event %d: lsn: %w", len(out), err)
-		}
-		n, err := binary.ReadVarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("event %d: n: %w", len(out), err)
-		}
-		lastAt += sim.Time(dAt)
-		out = append(out, trace.Event{
-			At: lastAt, Kind: trace.Kind(kind), Gen: int(gen),
-			Tx: logrec.TxID(tx), Obj: logrec.OID(obj), LSN: logrec.LSN(lsn), N: int(n),
-		})
-	}
-}
-
-// ReadTraceFile loads a trace, auto-detecting JSONL vs binary by the
-// file's opening bytes.
+// ReadTraceFile loads an ellog-trace/1 JSONL trace.
 func ReadTraceFile(path string) ([]trace.Event, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	head, err := br.Peek(len(binaryMagic))
-	if err != nil && len(head) == 0 {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if string(head) == binaryMagic {
-		return ReadBinary(br)
-	}
-	return ReadJSONL(br)
+	return ReadJSONL(f)
 }
 
 // WriteJSONLFile dumps events to path in the JSONL trace format —

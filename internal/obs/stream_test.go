@@ -14,7 +14,7 @@ import (
 
 // wireEvents exercises every kind plus the field edge cases: zero
 // tx/obj/lsn/n (omitted on the JSONL wire), gen -1, OID 0, and repeated
-// timestamps (zero binary deltas).
+// timestamps.
 func wireEvents() []trace.Event {
 	var evs []trace.Event
 	at := sim.Time(0)
@@ -54,58 +54,31 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
+// TestReadTraceFileReadsJSONL: the file reader is the strict JSONL decoder
+// behind a path — a file in any other format is an error, not a guess.
+func TestReadTraceFileReadsJSONL(t *testing.T) {
 	want := wireEvents()
-	var buf bytes.Buffer
-	s := NewBinarySink(&buf)
-	for _, e := range want {
-		s.Emit(e)
-	}
-	if err := s.Flush(); err != nil {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "t.jsonl")
+	if err := WriteJSONLFile(path, want); err != nil {
 		t.Fatal(err)
 	}
-	// The compact format should beat JSONL by a wide margin.
-	if buf.Len() > 30*len(want) {
-		t.Fatalf("binary encoding is %d bytes for %d events", buf.Len(), len(want))
-	}
-	got, err := ReadBinary(&buf)
+	got, err := ReadTraceFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
+		t.Fatal("decoded events differ")
 	}
-}
-
-func TestReadTraceFileAutoDetects(t *testing.T) {
-	want := wireEvents()
-	dir := t.TempDir()
-
-	jpath := filepath.Join(dir, "t.jsonl")
-	if err := WriteJSONLFile(jpath, want); err != nil {
+	other := filepath.Join(dir, "t.bin")
+	if err := os.WriteFile(other, []byte("ellogbin1\n\x01\x00"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	bpath := filepath.Join(dir, "t.bin")
-	var buf bytes.Buffer
-	s := NewBinarySink(&buf)
-	for _, e := range want {
-		s.Emit(e)
+	if _, err := ReadTraceFile(other); err == nil {
+		t.Fatal("a file that is not JSONL was accepted")
 	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(bpath, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, path := range []string{jpath, bpath} {
-		got, err := ReadTraceFile(path)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: decoded events differ", path)
-		}
+	if _, err := ReadTraceFile(filepath.Join(dir, "missing")); err == nil {
+		t.Fatal("a missing file was accepted")
 	}
 }
 
@@ -121,19 +94,5 @@ func TestReadJSONLStrictness(t *testing.T) {
 		if _, err := ReadJSONL(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
-	}
-}
-
-func TestReadBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(strings.NewReader("not a trace at all")); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	// Valid magic, then an out-of-range kind.
-	var buf bytes.Buffer
-	buf.WriteString("ellogbin1\n")
-	buf.WriteByte(0xff)
-	buf.WriteByte(0x01)
-	if _, err := ReadBinary(&buf); err == nil {
-		t.Fatal("invalid kind accepted")
 	}
 }

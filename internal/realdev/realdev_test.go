@@ -250,7 +250,6 @@ func realTestConfig(dir string, runtime sim.Time) RunConfig {
 			Runtime:     runtime,
 			NumObjects:  10_000,
 		},
-		SampleEvery: 20 * sim.Millisecond,
 	}
 }
 

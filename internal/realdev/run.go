@@ -3,12 +3,12 @@ package realdev
 import (
 	"ellog/internal/core"
 	"ellog/internal/flushdisk"
+	"ellog/internal/harness"
 	"ellog/internal/obs"
 	"ellog/internal/obs/live"
 	"ellog/internal/realtime"
 	"ellog/internal/sim"
 	"ellog/internal/statedb"
-	"ellog/internal/trace"
 	"ellog/internal/workload"
 )
 
@@ -25,26 +25,17 @@ type RunConfig struct {
 	// SlotFor from the effective block payload and the smallest record the
 	// workload can log.
 	Device Options
-	// SampleEvery, when positive, samples the cumulative committed-
-	// transaction count at this cadence — the commit curve the sim-vs-real
-	// comparison is shape-gated on.
-	SampleEvery sim.Time
-	// Tracer, when non-nil, receives every manager trace event. The trace
-	// clock is the loop's monotonic sim.Time (µs since start), so the
-	// streams eltrace and the Perfetto exporter consume are shaped exactly
-	// like simulated ones.
-	Tracer trace.Sink
 	// Metrics, when non-nil, arms the live registry: the device registers
 	// its fsync/batch instruments and a poller copies the canonical schema
 	// probes into it every metricsEvery.
 	Metrics *live.Registry
-	// ProbeEvery, when positive, attaches the simulated-time probe sampler
-	// to the loop at this cadence; Result.Probes then carries the same
-	// downsampled ellog_* series an elsim -probes-out run produces.
-	ProbeEvery sim.Time
 	// OnLive, when non-nil, runs with the assembled components after Build
-	// and before the loop is driven — the hook elreal uses to start the
-	// metrics server and watch ticker with access to the loop clock.
+	// and before the loop is driven — where a caller arms what it would arm
+	// on a simulated run after harness.Build (an obs.Observer or a sampler
+	// on Live.Loop, a tracer on Live.LM) and starts what needs the loop
+	// clock (elreal's metrics server). The trace clock is the loop's
+	// monotonic sim.Time (µs since start), so trace streams and probe
+	// series are shaped exactly like simulated ones.
 	OnLive func(*Live)
 }
 
@@ -56,28 +47,11 @@ const (
 	metricsEvery = 250 * sim.Millisecond
 )
 
-// CurvePoint is one sample of the cumulative commit count.
-type CurvePoint struct {
-	At        sim.Time `json:"at_us"`
-	Committed uint64   `json:"committed"`
-}
-
-// Result summarizes a real-backend run: the simulated backend's own stats
-// shapes plus the measured I/O-path statistics only a real device has.
+// Result summarizes a real-backend run: a simulated run's result plus the
+// measured I/O-path statistics only a real device has.
 type Result struct {
-	LM       core.Stats
-	Workload workload.Stats
-	Real     RealStats
-	Curve    []CurvePoint
-	// Probes holds the sampled ellog_* series when RunConfig.ProbeEvery
-	// was set — name-compatible with elsim probe output.
-	Probes []obs.Series
-}
-
-// Insufficient mirrors harness.Result: the disk budget failed to sustain
-// the workload.
-func (r Result) Insufficient() bool {
-	return r.LM.Insufficient() || r.Workload.Killed > 0
+	harness.Result
+	Real RealStats
 }
 
 // Live exposes the assembled components of a real-backend run, for callers
@@ -96,8 +70,6 @@ type Live struct {
 	DB    *statedb.DB
 	LM    *core.Manager
 	Gen   *workload.Generator
-	// Sampler is the probe sampler when ProbeEvery armed one.
-	Sampler *obs.Sampler
 	// Poller feeds the live registry when Metrics armed it; ticks run on
 	// the loop goroutine until the workload horizon.
 	Poller *live.Poller
@@ -119,11 +91,17 @@ func minRecSize(p core.Params, mix workload.Mix) int {
 	return m
 }
 
-// Build assembles a real-backend run, mirroring core.NewSetup plus the
-// workload generator: a wall-clock loop in place of the simulation engine,
-// a file device in place of the simulated one, and the identical manager,
-// flush-array and generator code in between. The generator is started; the
-// caller drives the loop.
+// Targets names the run's components as the probe targets of the canonical
+// ellog_* schema.
+func (l *Live) Targets() obs.ProbeTargets {
+	return obs.ProbeTargets{LM: l.LM, Dev: l.Dev, Flush: l.Flush}
+}
+
+// Build assembles a real-backend run the way harness.Build assembles a
+// simulated one — core.Assemble plus the workload generator — on a
+// wall-clock loop in place of the simulation engine and a file device in
+// place of the simulated one. The generator is started; the caller drives
+// the loop.
 func Build(cfg RunConfig) (*Live, error) {
 	p := cfg.LM.WithDefaults()
 	opt := cfg.Device
@@ -135,12 +113,7 @@ func Build(cfg RunConfig) (*Live, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := statedb.New()
-	var m *core.Manager
-	flush := flushdisk.New(loop, cfg.Flush.Drives, cfg.Flush.Transfer, cfg.Flush.NumObjects, func(req flushdisk.Request) {
-		m.Flushed(req)
-	})
-	m, err = core.New(loop, p, dev, flush, db)
+	m, flush, err := core.Assemble(loop, p, dev, cfg.Flush)
 	if err != nil {
 		dev.Abandon()
 		return nil, err
@@ -150,14 +123,10 @@ func Build(cfg RunConfig) (*Live, error) {
 		dev.Abandon()
 		return nil, err
 	}
-	if cfg.Tracer != nil {
-		m.SetTracer(cfg.Tracer)
-	}
-	l := &Live{Loop: loop, Dev: dev, Flush: flush, DB: db, LM: m, Gen: gen}
+	l := &Live{Loop: loop, Dev: dev, Flush: flush, DB: m.DB(), LM: m, Gen: gen}
 	if cfg.Metrics != nil {
 		dev.SetMetrics(cfg.Metrics)
-		l.Poller = live.NewPoller(cfg.Metrics,
-			obs.StandardProbes(obs.ProbeTargets{LM: m, Dev: dev, Flush: flush}))
+		l.Poller = live.NewPoller(cfg.Metrics, obs.StandardProbes(l.Targets()))
 		up := cfg.Metrics.Gauge(obs.MetricUptimeSeconds, "")
 		var tick func()
 		tick = func() {
@@ -169,18 +138,13 @@ func Build(cfg RunConfig) (*Live, error) {
 		}
 		loop.After(metricsEvery, tick)
 	}
-	if cfg.ProbeEvery > 0 {
-		l.Sampler = obs.NewSampler(loop, cfg.ProbeEvery, 0)
-		obs.RegisterProbes(l.Sampler,
-			obs.StandardProbes(obs.ProbeTargets{LM: m, Dev: dev, Flush: flush}))
-		l.Sampler.Start()
-	}
 	gen.Start()
 	return l, nil
 }
 
 // Run executes the configuration against the real backend: drive the loop
-// to the workload horizon in wall time, then shut down cleanly.
+// to the workload horizon in wall time, then shut down cleanly. The Result
+// is that of the run as far as it got even when the shutdown fails.
 func Run(cfg RunConfig) (Result, error) {
 	live, err := Build(cfg)
 	if err != nil {
@@ -189,20 +153,6 @@ func Run(cfg RunConfig) (Result, error) {
 	if cfg.OnLive != nil {
 		cfg.OnLive(live)
 	}
-	var curve []CurvePoint
-	if cfg.SampleEvery > 0 {
-		var sample func()
-		sample = func() {
-			curve = append(curve, CurvePoint{
-				At:        live.Loop.Now(),
-				Committed: live.Gen.Committed(),
-			})
-			if live.Loop.Now() < cfg.Workload.Runtime {
-				live.Loop.After(cfg.SampleEvery, sample)
-			}
-		}
-		live.Loop.After(cfg.SampleEvery, sample)
-	}
 	live.Loop.Run(cfg.Workload.Runtime)
 	err = live.Shutdown()
 	if live.Poller != nil {
@@ -210,16 +160,10 @@ func Run(cfg RunConfig) (Result, error) {
 		// drained end state, not the last cadence tick.
 		live.Poller.Collect()
 	}
-	res := Result{
-		LM:       live.LM.Stats(),
-		Workload: live.Gen.Stats(),
-		Real:     live.Dev.RealStats(),
-		Curve:    curve,
-	}
-	if live.Sampler != nil {
-		res.Probes = live.Sampler.Series()
-	}
-	return res, err
+	return Result{
+		Result: harness.Result{LM: live.LM.Stats(), Workload: live.Gen.Stats()},
+		Real:   live.Dev.RealStats(),
+	}, err
 }
 
 // Drain quiesces the manager — every open buffer is sealed, so nothing waits

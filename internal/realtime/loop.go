@@ -15,7 +15,6 @@
 package realtime
 
 import (
-	"container/heap"
 	"math/rand/v2"
 	"sync"
 	"time"
@@ -30,23 +29,16 @@ import (
 // them in arrival order.
 type Loop struct {
 	start time.Time
-	rng   *rand.Rand
 
-	// Timer state; loop-goroutine only.
-	evs     evHeap
-	nextSeq uint64
-	fired   uint64
+	// eng is the timer queue and the random stream: a sim.Engine that Run
+	// steps against the wall clock. Its own Now, the timestamp of the event
+	// fired last, is never exposed. Loop-goroutine only.
+	eng *sim.Engine
 
 	// Cross-goroutine mailbox.
 	mu     sync.Mutex
 	posted []func()
 	wake   chan struct{}
-}
-
-type ev struct {
-	at  sim.Time
-	seq uint64
-	fn  sim.Handler
 }
 
 // New returns a loop whose clock starts at 0 now and whose random stream is
@@ -55,7 +47,7 @@ type ev struct {
 func New(seed uint64) *Loop {
 	return &Loop{
 		start: time.Now(),
-		rng:   rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)),
+		eng:   sim.NewEngine(seed, seed^0x9e3779b97f4a7c15),
 		wake:  make(chan struct{}, 1),
 	}
 }
@@ -68,23 +60,26 @@ func (l *Loop) Now() sim.Time {
 }
 
 // Rand returns the loop's seeded random stream.
-func (l *Loop) Rand() *rand.Rand { return l.rng }
+func (l *Loop) Rand() *rand.Rand { return l.eng.Rand() }
 
 // Fired reports how many events have been dispatched so far.
-func (l *Loop) Fired() uint64 { return l.fired }
+func (l *Loop) Fired() uint64 { return l.eng.Fired() }
 
 // Pending reports how many timer events are currently scheduled.
-func (l *Loop) Pending() int { return len(l.evs) }
+func (l *Loop) Pending() int { return l.eng.Pending() }
 
 // At schedules fn to run at absolute loop time t. Unlike the simulation
-// engine, scheduling "in the past" is legal and fires on the next loop
-// pass: real time advances between the caller reading Now and the loop
-// acting, so a hard panic would turn an innocent scheduling race with the
-// wall clock into a crash.
+// engine, scheduling "in the past" is legal: real time advances between the
+// caller reading Now and the loop acting, so a hard panic would turn an
+// innocent scheduling race with the wall clock into a crash. A time before
+// the timestamp of the event fired last is moved up to it: fn queues behind
+// what is already pending for that instant and ahead of everything later. A
+// handler scheduling at or after its own timestamp is never moved.
 func (l *Loop) At(t sim.Time, fn sim.Handler) sim.EventID {
-	l.nextSeq++
-	heap.Push(&l.evs, &ev{at: t, seq: l.nextSeq, fn: fn})
-	return sim.EventID(l.nextSeq)
+	if last := l.eng.Now(); t < last {
+		t = last
+	}
+	return l.eng.At(t, fn)
 }
 
 // After schedules fn to run d after the current time.
@@ -114,18 +109,15 @@ func (l *Loop) Post(fn func()) {
 
 // Run dispatches posted callbacks and due timer events — the mailbox is
 // emptied before each timer event — until the wall clock passes the until
-// time. Timer events scheduled beyond the horizon
-// stay pending, exactly like sim.Engine.Run; repeated calls with a later
-// horizon continue the run. Run returns with the loop idle at or past
-// until.
+// time. Timer events scheduled beyond the horizon stay pending, exactly like
+// sim.Engine.Run; repeated calls with a later horizon continue the run. Run
+// returns with the loop idle at or past until.
 func (l *Loop) Run(until sim.Time) {
 	for {
 		l.drainPosted()
 		now := l.Now()
-		for len(l.evs) > 0 && l.evs[0].at <= now {
-			e := heap.Pop(&l.evs).(*ev)
-			l.fired++
-			e.fn()
+		for at, ok := l.eng.NextAt(); ok && at <= now; at, ok = l.eng.NextAt() {
+			l.eng.Step()
 			l.drainPosted()
 		}
 		now = l.Now()
@@ -133,11 +125,10 @@ func (l *Loop) Run(until sim.Time) {
 			return
 		}
 		next := until
-		if len(l.evs) > 0 && l.evs[0].at < next {
-			next = l.evs[0].at
+		if at, ok := l.eng.NextAt(); ok && at < next {
+			next = at
 		}
-		sleep := time.Duration(next-now) * time.Microsecond
-		timer := time.NewTimer(sleep)
+		timer := time.NewTimer(time.Duration(next-now) * time.Microsecond)
 		select {
 		case <-l.wake:
 			timer.Stop()
@@ -154,28 +145,6 @@ func (l *Loop) drainPosted() {
 	for _, fn := range posts {
 		fn()
 	}
-}
-
-// --- timer heap ordered by (at, seq) ----------------------------------
-
-type evHeap []*ev
-
-func (h evHeap) Len() int { return len(h) }
-func (h evHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h evHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *evHeap) Push(x any)   { *h = append(*h, x.(*ev)) }
-func (h *evHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
 }
 
 var _ sim.Source = (*Loop)(nil)
