@@ -7,8 +7,6 @@
 //	elbench -exp fig4            one experiment (fig4 = fig5 = fig6 data)
 //	elbench -runtime 60 -objects 1000000   scaled-down quick pass
 //	elbench -csv results.csv     also dump the Figure 4-6 data as CSV
-//	elbench -json BENCH.json     also emit a machine-readable perf report
-//	elbench -cpuprofile cpu.pprof   profile the run for go tool pprof
 //
 // Full fidelity (500 simulated seconds, 10^7 objects, five mixes) takes a
 // few minutes of wall time; the searches alone run hundreds of complete
@@ -16,23 +14,20 @@
 // simulations and reduce the disk space until we observed transactions
 // being killed".
 //
-// The -json report follows internal/perf's schema (suite → metric → value
-// with seed and frame metadata): each experiment that runs contributes a
-// suite, and an "engine" suite with the event-arena micro-benchmark is
-// always included. CI compares such a report against the committed
-// baseline (results/BENCH_7.json) with cmd/perfdiff; see README.md for
-// how to refresh the baseline.
+// The model metrics this prints at `-runtime 40 -objects 1000000` are
+// pinned exactly by internal/experiments' tests; timings are measured by
+// the repository benchmark (bench/, see README.md).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
 	"ellog/internal/experiments"
-	"ellog/internal/perf"
 	"ellog/internal/runner"
 	"ellog/internal/sim"
 )
@@ -45,26 +40,11 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "random seed")
 		mixes    = flag.String("mixes", "", "comma-separated long-transaction fractions (default 0.05,0.1,0.2,0.3,0.4)")
 		csvPath  = flag.String("csv", "", "write Figure 4-6 data as CSV to this path")
-		jsonPath = flag.String("json", "", "write a machine-readable benchmark report (internal/perf schema) to this path")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this path")
-		heapProf = flag.String("heapprofile", "", "write a heap profile (after the run) to this path")
 		parallel = flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS, negative = strictly sequential)")
 		realDir  = flag.String("realdir", "", "log directory for -exp simvreal's real run (default: a temporary directory)")
 		realIO   = flag.String("realdirect", "auto", "direct-I/O mode for -exp simvreal: auto|on|off")
 	)
 	flag.Parse()
-
-	if *cpuProf != "" {
-		stop, err := perf.StartCPUProfile(*cpuProf)
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			if err := stop(); err != nil {
-				fatal(err)
-			}
-		}()
-	}
 
 	opt := experiments.Options{
 		Seed:       *seed,
@@ -83,24 +63,12 @@ func main() {
 		pool = runner.New(*parallel)
 		opt.Pool = pool
 	}
-	wallStart := time.Now() //ellint:allow wallclock harness-only wall timing, reported as informational
+	wallStart := time.Now() //ellint:allow wallclock operator feedback on the whole invocation's cost
 	if *mixes != "" {
-		for _, part := range strings.Split(*mixes, ",") {
-			var f float64
-			if _, err := fmt.Sscanf(strings.TrimSpace(part), "%g", &f); err != nil {
-				fatal(fmt.Errorf("bad -mixes %q: %w", *mixes, err))
-			}
-			opt.Mixes = append(opt.Mixes, f)
+		var err error
+		if opt.Mixes, err = parseMixes(*mixes); err != nil {
+			fatal(err)
 		}
-	}
-
-	var rep *perf.Report
-	if *jsonPath != "" {
-		rep = perf.NewReport(*seed, perf.Frame{
-			RuntimeSeconds: *runtime,
-			Objects:        *objects,
-			Mixes:          opt.Mixes,
-		})
 	}
 
 	runFig456 := func() {
@@ -117,71 +85,68 @@ func main() {
 			}
 			fmt.Printf("wrote %s\n", *csvPath)
 		}
-		if rep != nil {
-			addFig456(rep, points)
-		}
 	}
 
 	switch *exp {
 	case "fig4", "fig5", "fig6":
 		runFig456()
 	case "fig7":
-		show("fig7", opt, experiments.Fig7, experiments.FormatFig7, collectFig7(rep))
+		show("fig7", opt, experiments.Fig7, experiments.FormatFig7)
 	case "scarce":
-		show("scarce", opt, experiments.Scarce, experiments.FormatScarce, collectScarce(rep))
+		show("scarce", opt, experiments.Scarce, experiments.FormatScarce)
 	case "headline":
-		show("headline", opt, experiments.Headline, experiments.FormatHeadline, collectHeadline(rep))
+		show("headline", opt, experiments.Headline, experiments.FormatHeadline)
 	case "hints":
-		show("hints", opt, experiments.Hints, experiments.FormatHints, nil)
+		show("hints", opt, experiments.Hints, experiments.FormatHints)
 	case "chain":
-		show("chain", opt, experiments.Chain, experiments.FormatChain, nil)
+		show("chain", opt, experiments.Chain, experiments.FormatChain)
 	case "hybrid":
-		show("hybrid", opt, experiments.HybridCompare, experiments.FormatHybridCompare, nil)
+		show("hybrid", opt, experiments.HybridCompare, experiments.FormatHybridCompare)
 	case "adaptive":
-		show("adaptive", opt, experiments.Adaptive, experiments.FormatAdaptive, nil)
+		show("adaptive", opt, experiments.Adaptive, experiments.FormatAdaptive)
 	case "arrivals":
-		show("arrivals", opt, experiments.ArrivalSensitivity, experiments.FormatArrivals, nil)
+		show("arrivals", opt, experiments.ArrivalSensitivity, experiments.FormatArrivals)
 	case "steal":
-		show("steal", opt, experiments.Steal, experiments.FormatSteal, nil)
+		show("steal", opt, experiments.Steal, experiments.FormatSteal)
 	case "scale":
-		show("scale", opt, experiments.Scale, experiments.FormatScale, nil)
+		show("scale", opt, experiments.Scale, experiments.FormatScale)
 	case "pdes":
-		show("pdes", opt, experiments.PDES, experiments.FormatPDES, collectPDES(rep))
+		show("pdes", opt, experiments.PDES, experiments.FormatPDES)
 	case "simvreal":
 		// Deliberately not part of "all": the real run pays its runtime
 		// in wall-clock fsync traffic and its measured numbers are not
-		// deterministic, so it stays out of the gated perfdiff baseline.
-		// The commit-curve shape check makes this invocation itself the
-		// gate: elbench exits non-zero when the curves diverge.
-		show("simvreal", opt, experiments.SimVsReal, experiments.FormatSimVsReal, checkSimVsReal(rep))
+		// deterministic. The commit-curve shape check makes this
+		// invocation itself the gate: elbench exits non-zero when the
+		// curves diverge.
+		checkSimVsReal(show("simvreal", opt, experiments.SimVsReal, experiments.FormatSimVsReal))
 	case "xshard":
-		// Deliberately not part of "all": the gated report covers the
-		// paper figures plus the pdes suite, and xshard's sweep is slow at
-		// full fidelity; run it explicitly when the 2PC path is in play.
-		show("xshard", opt, experiments.CrossShard, experiments.FormatCrossShard, nil)
+		// Deliberately not part of "all": "all" is the paper figures plus
+		// the pdes suite, and xshard's sweep is slow at full fidelity; run
+		// it explicitly when the 2PC path is in play.
+		show("xshard", opt, experiments.CrossShard, experiments.FormatCrossShard)
 	case "ext":
-		show("hints", opt, experiments.Hints, experiments.FormatHints, nil)
+		show("hints", opt, experiments.Hints, experiments.FormatHints)
 		fmt.Println()
-		show("chain", opt, experiments.Chain, experiments.FormatChain, nil)
+		show("chain", opt, experiments.Chain, experiments.FormatChain)
 		fmt.Println()
-		show("hybrid", opt, experiments.HybridCompare, experiments.FormatHybridCompare, nil)
+		show("hybrid", opt, experiments.HybridCompare, experiments.FormatHybridCompare)
 		fmt.Println()
-		show("adaptive", opt, experiments.Adaptive, experiments.FormatAdaptive, nil)
+		show("adaptive", opt, experiments.Adaptive, experiments.FormatAdaptive)
 		fmt.Println()
-		show("arrivals", opt, experiments.ArrivalSensitivity, experiments.FormatArrivals, nil)
+		show("arrivals", opt, experiments.ArrivalSensitivity, experiments.FormatArrivals)
 		fmt.Println()
-		show("steal", opt, experiments.Steal, experiments.FormatSteal, nil)
+		show("steal", opt, experiments.Steal, experiments.FormatSteal)
 		fmt.Println()
-		show("scale", opt, experiments.Scale, experiments.FormatScale, nil)
+		show("scale", opt, experiments.Scale, experiments.FormatScale)
 	case "all":
 		runFig456()
-		show("fig7", opt, experiments.Fig7, experiments.FormatFig7, collectFig7(rep))
+		show("fig7", opt, experiments.Fig7, experiments.FormatFig7)
 		fmt.Println()
-		show("scarce", opt, experiments.Scarce, experiments.FormatScarce, collectScarce(rep))
+		show("scarce", opt, experiments.Scarce, experiments.FormatScarce)
 		fmt.Println()
-		show("headline", opt, experiments.Headline, experiments.FormatHeadline, collectHeadline(rep))
+		show("headline", opt, experiments.Headline, experiments.FormatHeadline)
 		fmt.Println()
-		show("pdes", opt, experiments.PDES, experiments.FormatPDES, collectPDES(rep))
+		show("pdes", opt, experiments.PDES, experiments.FormatPDES)
 	default:
 		fatal(fmt.Errorf("unknown experiment %q", *exp))
 	}
@@ -189,32 +154,27 @@ func main() {
 		runs, hits := pool.Stats()
 		fmt.Printf("(%d simulations run, %d answered from cache, %d workers, %v wall clock)\n",
 			runs, hits, pool.Workers(), time.Since(wallStart).Round(time.Millisecond)) //ellint:allow wallclock operator feedback, not a simulation result
-		if rep != nil {
-			rep.SetInformational("harness", "simulations_run", float64(runs))
-			rep.SetInformational("harness", "cache_hits", float64(hits))
-		}
-	}
-	if rep != nil {
-		fmt.Println("measuring engine hot path...")
-		perf.MeasureEngine().AddTo(rep)
-		rep.SetInformational("harness", "wall_seconds", time.Since(wallStart).Seconds()) //ellint:allow wallclock informational metric, excluded from the perfdiff gate
-		if err := rep.WriteFile(*jsonPath); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *jsonPath)
-	}
-	if *heapProf != "" {
-		if err := perf.WriteHeapProfile(*heapProf); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *heapProf)
 	}
 }
 
-// show runs one experiment, prints its formatted report, reports the
-// wall-clock time it took, and hands the result to collect (if non-nil)
-// for the -json perf report.
-func show[T any](name string, opt experiments.Options, run func(experiments.Options) (T, error), format func(T) string, collect func(T)) {
+// parseMixes parses -mixes strictly: every comma-separated field must
+// parse as a number in full, so "0.4x" is an error rather than a 40 % mix
+// nobody asked for.
+func parseMixes(s string) ([]float64, error) {
+	var out []float64
+	for _, part := range strings.Split(s, ",") {
+		f, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad -mixes %q: %w", s, err)
+		}
+		out = append(out, f)
+	}
+	return out, nil
+}
+
+// show runs one experiment, prints its formatted report and the
+// wall-clock time it took, and returns the result.
+func show[T any](name string, opt experiments.Options, run func(experiments.Options) (T, error), format func(T) string) T {
 	start := time.Now() //ellint:allow wallclock operator feedback on experiment cost
 	r, err := run(opt)
 	if err != nil {
@@ -222,129 +182,19 @@ func show[T any](name string, opt experiments.Options, run func(experiments.Opti
 	}
 	fmt.Print(format(r))
 	fmt.Printf("(%s finished in %v wall clock)\n", name, time.Since(start).Round(time.Millisecond)) //ellint:allow wallclock operator feedback, not a simulation result
-	if collect != nil {
-		collect(r)
-	}
+	return r
 }
 
-// mixKey renders a mix fraction as a metric-name suffix ("0.05" → "5pct").
-func mixKey(frac float64) string {
-	return fmt.Sprintf("%gpct", frac*100)
-}
-
-// addFig456 records the Figure 4-6 data: all values are deterministic
-// simulation outputs, so every metric is gated.
-func addFig456(rep *perf.Report, points []experiments.MixPoint) {
-	for _, p := range points {
-		k := mixKey(p.FracLong)
-		rep.Set("fig456", "fw_blocks_"+k, float64(p.FWBlocks))
-		rep.Set("fig456", "el_blocks_"+k, float64(p.ELBlocks))
-		rep.Set("fig456", "el_gen0_"+k, float64(p.ELGen0))
-		rep.Set("fig456", "el_gen1_"+k, float64(p.ELGen1))
-		rep.Set("fig456", "fw_writes_per_s_"+k, p.FWBW)
-		rep.Set("fig456", "el_writes_per_s_"+k, p.ELBW)
-		rep.Set("fig456", "fw_mem_bytes_"+k, p.FWMemPeak)
-		rep.Set("fig456", "el_mem_bytes_"+k, p.ELMemPeak)
+// checkSimVsReal enforces the shape gate: a commit-curve or shared-series
+// divergence beyond its tolerance fails the whole invocation.
+func checkSimVsReal(r experiments.SimVsRealResult) {
+	if !r.WithinTolerance {
+		fatal(fmt.Errorf("simvreal: commit curves diverge: max deviation %.3f exceeds tolerance %.2f",
+			r.MaxCurveDev, r.Tolerance))
 	}
-}
-
-// checkSimVsReal records the comparison in the -json report and enforces
-// the shape gate: the simulated side's numbers are deterministic and
-// gated, the real side's are measurements and informational only. A curve
-// divergence beyond the tolerance fails the whole invocation.
-func checkSimVsReal(rep *perf.Report) func(experiments.SimVsRealResult) {
-	return func(r experiments.SimVsRealResult) {
-		if rep != nil {
-			rep.Set("simvreal", "sim_committed", float64(r.Sim.Committed))
-			rep.Set("simvreal", "sim_block_writes", float64(r.Sim.BlockWrites))
-			rep.SetInformational("simvreal", "real_committed", float64(r.Real.Committed))
-			rep.SetInformational("simvreal", "real_block_writes", float64(r.Real.BlockWrites))
-			rep.SetInformational("simvreal", "real_writes_per_s", r.Real.WritesPerS)
-			rep.SetInformational("simvreal", "real_e2e_mean_ms", r.Real.E2EMeanMS)
-			rep.SetInformational("simvreal", "real_batch_mean_ms", r.IO.BatchMeanMS)
-			rep.SetInformational("simvreal", "real_fsync_p99_ms", r.IO.BatchP99MS)
-			rep.SetInformational("simvreal", "real_fsyncs", float64(r.IO.Fsyncs))
-			rep.SetInformational("simvreal", "max_curve_dev", r.MaxCurveDev)
-			for _, sd := range r.Series {
-				rep.SetInformational("simvreal", "series_dev_"+sd.Name, sd.MaxDev)
-			}
-		}
-		if !r.WithinTolerance {
-			fatal(fmt.Errorf("simvreal: commit curves diverge: max deviation %.3f exceeds tolerance %.2f",
-				r.MaxCurveDev, r.Tolerance))
-		}
-		if !r.SeriesOK {
-			fatal(fmt.Errorf("simvreal: shared metric series diverge beyond tolerance %.2f (see report)",
-				r.SeriesTolerance))
-		}
-	}
-}
-
-func collectFig7(rep *perf.Report) func(experiments.Fig7Result) {
-	if rep == nil {
-		return nil
-	}
-	return func(r experiments.Fig7Result) {
-		rep.Set("fig7", "gen0_blocks", float64(r.Gen0))
-		rep.Set("fig7", "gen1_max_blocks", float64(r.NoRecircG1))
-		rep.Set("fig7", "gen1_min_blocks", float64(r.MinRecircG1))
-		if len(r.Points) > 0 {
-			rep.Set("fig7", "writes_per_s_max_space", r.Points[0].TotalBW)
-			rep.Set("fig7", "writes_per_s_min_space", r.Points[len(r.Points)-1].TotalBW)
-		}
-	}
-}
-
-func collectScarce(rep *perf.Report) func(experiments.ScarceResult) {
-	if rep == nil {
-		return nil
-	}
-	return func(r experiments.ScarceResult) {
-		rep.Set("scarce", "total_blocks", float64(r.TotalBlocks))
-		rep.Set("scarce", "writes_per_s", r.TotalBW)
-		rep.Set("scarce", "flush_oid_dist", r.AvgDist)
-		rep.Set("scarce", "flush_oid_dist_25ms", r.BaselineDist)
-	}
-}
-
-func collectHeadline(rep *perf.Report) func(experiments.HeadlineResult) {
-	if rep == nil {
-		return nil
-	}
-	return func(h experiments.HeadlineResult) {
-		rep.Set("headline", "fw_blocks", float64(h.FWBlocks))
-		rep.Set("headline", "el_blocks_norecirc", float64(h.ELNoRecirc))
-		rep.Set("headline", "el_blocks_recirc", float64(h.ELRecirc))
-		rep.Set("headline", "space_factor_norecirc", h.SpaceFactorNR)
-		rep.Set("headline", "space_factor_recirc", h.SpaceFactorR)
-		rep.Set("headline", "bw_increase_pct_norecirc", h.BWIncreaseNR)
-		rep.Set("headline", "bw_increase_pct_recirc", h.BWIncreaseR)
-	}
-}
-
-// collectPDES records the parallel-engine benchmark. The simulated
-// outputs (events, commits, the identity bit) are deterministic and
-// gated; the wall-clock seconds and speedup depend on the host and are
-// informational only.
-func collectPDES(rep *perf.Report) func(experiments.PDESResult) {
-	if rep == nil {
-		return nil
-	}
-	return func(r experiments.PDESResult) {
-		rep.Set("pdes", "events", float64(r.Stats.Events))
-		rep.Set("pdes", "windows", float64(r.Stats.Windows))
-		rep.Set("pdes", "cross_lp_events", float64(r.Stats.Delivered))
-		rep.Set("pdes", "local_committed", float64(r.Stats.Committed))
-		rep.Set("pdes", "cross_committed", float64(r.Stats.CrossCommitted))
-		identical := 0.0
-		if r.Identical {
-			identical = 1.0
-		}
-		rep.Set("pdes", "parallel_identical", identical)
-		rep.SetInformational("pdes", "seq_seconds", r.SeqSeconds)
-		rep.SetInformational("pdes", "par_seconds", r.ParSeconds)
-		rep.SetInformational("pdes", "speedup", r.Speedup)
-		rep.SetInformational("pdes", "cpus", float64(r.CPUs))
+	if !r.SeriesOK {
+		fatal(fmt.Errorf("simvreal: shared metric series diverge beyond tolerance %.2f (see report)",
+			r.SeriesTolerance))
 	}
 }
 

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -8,13 +10,35 @@ import (
 )
 
 // quick scales the frame down so every experiment runs in seconds while
-// preserving the paper's qualitative shapes.
+// preserving the paper's qualitative shapes. It is also the canonical
+// frame the model metrics are pinned at (seed 1, 40 s, 10^6 objects).
 func quick() Options {
 	return Options{
 		Seed:       1,
 		Runtime:    40 * sim.Second,
 		NumObjects: 1_000_000,
 		Mixes:      []float64{0.05, 0.20, 0.40},
+	}
+}
+
+// pinInt and pinFloat are the model-metric regression gate. Every value
+// an experiment derives from simulation is a pure function of seed and
+// frame, so the pinned literals are exact: any change to one is a change
+// to the model and must be explained, never absorbed by a tolerance.
+// Floats get 1e-9 relative slack only because arm64 may fuse a
+// multiply-add. Metrics are named suite/metric, and a failure says name,
+// got and pinned.
+func pinInt[T int | uint64](t *testing.T, metric string, got, want T) {
+	t.Helper()
+	if got != want {
+		t.Errorf("%s = %d, pinned %d", metric, got, want)
+	}
+}
+
+func pinFloat(t *testing.T, metric string, got, want float64) {
+	t.Helper()
+	if math.Abs(got-want) > 1e-9*math.Abs(want) {
+		t.Errorf("%s = %v, pinned %v", metric, got, want)
 	}
 }
 
@@ -81,6 +105,22 @@ func TestFig456Shapes(t *testing.T) {
 			t.Fatalf("formatted output missing %q:\n%s", want, out)
 		}
 	}
+	pinned := []MixPoint{
+		{FracLong: 0.05, FWBlocks: 121, FWBW: 11.325, FWMemPeak: 3608, ELGen0: 20, ELGen1: 13, ELBlocks: 33, ELBW: 12.325, ELMemPeak: 13680},
+		{FracLong: 0.20, FWBlocks: 138, FWBW: 12.4, FWMemPeak: 6798, ELGen0: 20, ELGen1: 33, ELBlocks: 53, ELBW: 15.1, ELMemPeak: 28720},
+		{FracLong: 0.40, FWBlocks: 159, FWBW: 13.65, FWMemPeak: 10868, ELGen0: 19, ELGen1: 63, ELBlocks: 82, ELBW: 19.05, ELMemPeak: 48360},
+	}
+	for i, w := range pinned {
+		p, k := points[i], fmt.Sprintf("%gpct", w.FracLong*100)
+		pinInt(t, "fig456/fw_blocks_"+k, p.FWBlocks, w.FWBlocks)
+		pinInt(t, "fig456/el_blocks_"+k, p.ELBlocks, w.ELBlocks)
+		pinInt(t, "fig456/el_gen0_"+k, p.ELGen0, w.ELGen0)
+		pinInt(t, "fig456/el_gen1_"+k, p.ELGen1, w.ELGen1)
+		pinFloat(t, "fig456/fw_writes_per_s_"+k, p.FWBW, w.FWBW)
+		pinFloat(t, "fig456/el_writes_per_s_"+k, p.ELBW, w.ELBW)
+		pinFloat(t, "fig456/fw_mem_bytes_"+k, p.FWMemPeak, w.FWMemPeak)
+		pinFloat(t, "fig456/el_mem_bytes_"+k, p.ELMemPeak, w.ELMemPeak)
+	}
 }
 
 func TestFig7Shapes(t *testing.T) {
@@ -118,6 +158,11 @@ func TestFig7Shapes(t *testing.T) {
 	if !strings.Contains(FormatFig7(r), "Figure 7") {
 		t.Fatal("formatted output missing title")
 	}
+	pinInt(t, "fig7/gen0_blocks", r.Gen0, 20)
+	pinInt(t, "fig7/gen1_max_blocks", r.NoRecircG1, 13)
+	pinInt(t, "fig7/gen1_min_blocks", r.MinRecircG1, 10)
+	pinFloat(t, "fig7/writes_per_s_max_space", firstP.TotalBW, 12.325)
+	pinFloat(t, "fig7/writes_per_s_min_space", lastP.TotalBW, 13.025)
 }
 
 func TestScarceShapes(t *testing.T) {
@@ -149,6 +194,10 @@ func TestScarceShapes(t *testing.T) {
 	if !strings.Contains(FormatScarce(r), "Scarce") {
 		t.Fatal("formatted output missing title")
 	}
+	pinInt(t, "scarce/total_blocks", r.TotalBlocks, 31)
+	pinFloat(t, "scarce/writes_per_s", r.TotalBW, 14.475)
+	pinFloat(t, "scarce/flush_oid_dist", r.AvgDist, 11455.06783729156)
+	pinFloat(t, "scarce/flush_oid_dist_25ms", r.BaselineDist, 22120.628107432854)
 }
 
 func TestHeadlineRatios(t *testing.T) {
@@ -176,6 +225,13 @@ func TestHeadlineRatios(t *testing.T) {
 	if !strings.Contains(FormatHeadline(h), "Headline") {
 		t.Fatal("formatted output missing title")
 	}
+	pinInt(t, "headline/fw_blocks", h.FWBlocks, 121)
+	pinInt(t, "headline/el_blocks_norecirc", h.ELNoRecirc, 33)
+	pinInt(t, "headline/el_blocks_recirc", h.ELRecirc, 30)
+	pinFloat(t, "headline/space_factor_norecirc", h.SpaceFactorNR, 3.6666666666666665)
+	pinFloat(t, "headline/space_factor_recirc", h.SpaceFactorR, 4.033333333333333)
+	pinFloat(t, "headline/bw_increase_pct_norecirc", h.BWIncreaseNR, 8.830022075055188)
+	pinFloat(t, "headline/bw_increase_pct_recirc", h.BWIncreaseR, 15.011037527593828)
 }
 
 func TestOptionsDefaults(t *testing.T) {

@@ -25,13 +25,14 @@ import (
 // The canonical deterministic idiom is exempt: appends into a slice that a
 // later statement in an enclosing block passes to sort/slices are
 // discounted, because sorting collapses the insertion order. This covers
-// both collect-keys-then-sort:
+// both collect-keys-then-sort (e.g. recovery.Recover ordering its winner
+// and in-doubt transactions):
 //
 //	names := make([]string, 0, len(m))
 //	for name := range m { names = append(names, name) }
 //	sort.Strings(names)
 //
-// and collect-structs-then-sort (e.g. perf.Diff building deltas). Loops
+// and collect-structs-then-sort (rows sorted by a field afterwards). Loops
 // whose body only reads, counts, or writes other maps are
 // order-independent and not flagged. Where the key type is ordered and the
 // file imports "sort", the analyzer attaches a suggested fix that rewrites

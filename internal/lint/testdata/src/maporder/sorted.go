@@ -19,7 +19,8 @@ type row struct {
 }
 
 // goodStructSort collects whole rows and sorts them afterwards — also
-// deterministic, as in perf.Diff.
+// deterministic, by the same rule that passes recovery.Recover's sorted
+// winner list.
 func goodStructSort(m map[string]int) []row {
 	rows := make([]row, 0, len(m))
 	for k, v := range m {
