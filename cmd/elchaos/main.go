@@ -15,8 +15,9 @@
 //	elchaos -campaign -shards 3     cross-shard campaign: run the workload
 //	                                sharded with 2PC-in-the-log and sweep
 //	                                whole-machine and single-shard crashes
-//	                                through every two-phase commit window,
-//	                                verifying atomicity at each point
+//	                                at every instant a block write became
+//	                                durable, verifying atomicity at each
+//	                                point
 //
 // Examples:
 //
@@ -60,7 +61,7 @@ func main() {
 		tornFracs = flag.String("torn-fracs", "", "campaign: comma-separated torn prefix fractions (default 0.3,0.7)")
 		workers   = flag.Int("workers", 0, "campaign: parallel crash-point runs (0 = GOMAXPROCS)")
 		shards    = flag.Int("shards", 0, "campaign: run sharded with this many shards and sweep cross-shard atomicity (>= 2)")
-		crossFrac = flag.Float64("cross-frac", 0.3, "campaign: fraction of transactions spanning two shards (with -shards)")
+		crossFrac = flag.Float64("cross-frac", 0.3, "campaign: share of each shard's arrivals spanning two shards (with -shards)")
 
 		faultSeed = flag.Uint64("fault-seed", 1, "chaos: fault plan seed")
 		writeFail = flag.Float64("write-fail", 0.1, "chaos: transient write-error probability per block write")
@@ -96,7 +97,7 @@ func main() {
 		}
 		if *shards > 0 {
 			cfg.Shards = *shards
-			cfg.CrossShardFrac = *crossFrac
+			cfg.CrossFrac = *crossFrac
 		}
 		if cfg.Shards > 1 {
 			runCrossCampaign(cfg, *maxPoints, *workers)
@@ -279,9 +280,9 @@ func runCampaign(hcfg harness.Config, tornFracs string, maxPoints, workers int) 
 // atomicity at every point.
 func runCrossCampaign(cfg config.SimConfig, maxPoints, workers int) {
 	if cfg.GroupCommitTimeoutMS == 0 {
-		// Pure group commit splits the traffic across shards and leaves most
-		// of the run in unsealed blocks — almost no durable events to crash
-		// at. Bound the seal delay so the sweep is dense.
+		// Pure group commit leaves a lightly loaded shard's blocks unsealed
+		// for most of the run — almost no durable instants to crash at.
+		// Bound the seal delay so the sweep is dense.
 		cfg.GroupCommitTimeoutMS = 20
 	}
 	// Each shard's object range must split evenly over its flush drives;
@@ -289,15 +290,15 @@ func runCrossCampaign(cfg config.SimConfig, maxPoints, workers int) {
 	if q := uint64(cfg.Shards * cfg.FlushDrives); q > 0 && cfg.NumObjects%q != 0 {
 		cfg.NumObjects -= cfg.NumObjects % q
 	}
-	scfg, err := cfg.ToSharded()
+	pcfg, err := cfg.ToPDES(1)
 	if err != nil {
 		fatal(err)
 	}
 	pool := runner.New(workers)
 	fmt.Printf("cross-shard campaign: seed %d, %d shards (cross frac %.2f), generations %v, %v runtime, %d workers\n",
-		scfg.Seed, scfg.Shards, scfg.Workload.CrossShardFrac, scfg.LM.GenSizes, scfg.Workload.Runtime, pool.Workers())
+		pcfg.Seed, pcfg.Shards, pcfg.CrossFrac, pcfg.LM.GenSizes, pcfg.Workload.Runtime, pool.Workers())
 	start := time.Now() //ellint:allow wallclock operator feedback on campaign cost
-	res, err := multilog.RunCrossCampaign(multilog.CrossCampaignConfig{Base: scfg, MaxPoints: maxPoints}, pool)
+	res, err := multilog.RunCrossCampaign(multilog.CrossCampaignConfig{Base: pcfg, MaxPoints: maxPoints}, pool)
 	if err != nil {
 		fatal(err)
 	}

@@ -8,6 +8,8 @@
 //	elsim -config cfg.json        run a configuration file
 //	elsim -mode fw -gens 123      run ad hoc, overriding the defaults
 //	elsim -seeds 8 -parallel 4    fan one configuration across 8 seeds
+//	elsim -shards 4 -cross-frac 0.2 -gens 22,18
+//	                              four shards with 2PC between them
 //
 // The default configuration is the paper's 5%-mix EL run at its measured
 // minimum generation sizes (18+16 blocks, recirculation off).
@@ -53,10 +55,9 @@ func main() {
 		probesOut  = flag.String("probes-out", "", "sample standard probes and write the series JSON to this file")
 		probeMS    = flag.Int64("probe-ms", 0, "probe sampling cadence in simulated ms (default 100)")
 		plot       = flag.String("plot", "", "after the run, ASCII-plot the first sampled series whose name contains this substring (needs -probes-out)")
-		shards     = flag.Int("shards", 0, "override: run as this many shared-nothing shards (multilog; >= 2)")
-		crossFrac  = flag.Float64("cross-frac", -1, "override: fraction of transactions spanning two shards (needs -shards)")
-		hashPart   = flag.Bool("hash", false, "override: hash declustering instead of range partitioning (needs -shards)")
-		pdes       = flag.Int("pdes", 0, "run shards as parallel logical processes on this many workers (PDES; 1 = sequential reference execution)")
+		shards     = flag.Int("shards", 0, "override: run as this many shared-nothing shards, each at the full arrival rate (multilog; >= 2)")
+		crossFrac  = flag.Float64("cross-frac", -1, "override: share of each shard's arrivals that span two shards (needs -shards)")
+		pdes       = flag.Int("pdes", 0, "worker goroutines for the shards' logical processes (default 1, the sequential reference execution; alone, runs one shard as one LP)")
 	)
 	flag.Parse()
 
@@ -112,36 +113,17 @@ func main() {
 		cfg.Shards = *shards
 	}
 	if *crossFrac >= 0 {
-		cfg.CrossShardFrac = *crossFrac
-	}
-	if *hashPart {
-		cfg.PartitionHash = true
+		cfg.CrossFrac = *crossFrac
 	}
 
-	if *pdes > 0 {
+	if *pdes > 0 || cfg.Shards > 1 {
 		if *seeds > 1 || *traceN > 0 {
-			fatal(fmt.Errorf("pdes runs support neither -seeds nor -trace yet"))
-		}
-		if cfg.Faults != nil && cfg.Faults.ToFault().Active() {
-			fatal(config.Unsupported("pdes", "faults",
-				"drop the faults section; fault injection is sequential-only"))
+			fatal(fmt.Errorf("sharded runs support neither -seeds nor -trace yet"))
 		}
 		if cfg.Shards < 1 {
 			cfg.Shards = 1 // single-LP run: the sequential reduction
 		}
-		runPDES(cfg, *pdes, *traceOut, *probesOut, *probeMS, *verbose)
-		return
-	}
-
-	if cfg.Shards > 1 {
-		if *seeds > 1 || *traceN > 0 || *traceOut != "" || *probesOut != "" {
-			fatal(fmt.Errorf("sharded runs support none of -seeds/-trace/-trace-out/-probes-out yet"))
-		}
-		if cfg.Faults != nil && cfg.Faults.ToFault().Active() {
-			fatal(config.Unsupported("sharded", "faults",
-				"drop the faults section; use elchaos -shards for crash campaigns"))
-		}
-		runSharded(cfg, *verbose)
+		runPDES(cfg, max(*pdes, 1), *traceOut, *probesOut, *probeMS, *verbose)
 		return
 	}
 
@@ -272,12 +254,13 @@ func main() {
 	fmt.Println("verdict: disk space sufficient (no transactions killed)")
 }
 
-// runPDES executes the configuration as a parallel discrete-event
-// simulation: shards become logical processes under conservative
-// synchronization. The worker count is pure scheduling and is printed to
-// stderr only — stdout (and the per-LP trace files) are a fixed function
-// of (seed, config), which is exactly what the CI determinism matrix
-// diffs across worker counts.
+// runPDES executes the configuration as a sharded run: shards become
+// logical processes of a parallel discrete-event simulation under
+// conservative synchronization, and at the end the whole machine is
+// crashed and recovered against the acknowledged commits. The worker count
+// is pure scheduling and is printed to stderr only — stdout (and the
+// per-LP trace files) are a fixed function of (seed, config), which is
+// exactly what the CI determinism matrix diffs across worker counts.
 func runPDES(cfg config.SimConfig, workers int, traceOut, probesOut string, probeMS int64, verbose bool) {
 	pcfg, err := cfg.ToPDES(workers)
 	if err != nil {
@@ -363,61 +346,18 @@ func runPDES(cfg config.SimConfig, workers int, traceOut, probesOut string, prob
 		fmt.Printf("probes: %d series across %d LPs, %d ticks at %v cadence -> %s\n",
 			len(series), len(samplers), samplers[0].Ticks(), samplers[0].Interval(), probesOut)
 	}
-	if live.Insufficient() {
-		fmt.Println("verdict: INSUFFICIENT disk space for this workload")
-		os.Exit(2)
-	}
-	fmt.Println("verdict: disk space sufficient (no transactions killed)")
-}
-
-// runSharded executes the configuration as a shared-nothing sharded
-// system behind the multilog router, prints aggregate and 2PC statistics,
-// and verifies that whole-machine crash recovery at end of run would
-// reproduce exactly the acknowledged commits.
-func runSharded(cfg config.SimConfig, verbose bool) {
-	scfg, err := cfg.ToSharded()
-	if err != nil {
-		fatal(err)
-	}
-	routing := fmt.Sprintf("cross-shard frac %.2f", cfg.CrossShardFrac)
-	if cfg.PartitionHash {
-		routing = "hash declustering"
-	}
-	fmt.Printf("running %s x %d shards (%s), generations %v (recirculation %v), %s, seed %d\n",
-		strings.ToUpper(cfg.Mode), cfg.Shards, routing, cfg.Generations, cfg.Recirculate,
-		sim.Time(cfg.RuntimeS*float64(sim.Second)), cfg.Seed)
-	live, err := multilog.RunSharded(scfg)
-	if err != nil {
-		fatal(err)
-	}
-	st := live.Sys.Stats()
-	ws := live.Gen.Stats()
-	rs := live.Router.Stats()
-	fmt.Printf("aggregate: %d blocks across %d logs, %.2f writes/s, %d killed, mem peak %.0f B\n",
-		st.TotalBlocks, live.Sys.Partitions(), st.Bandwidth, st.Killed, st.MemPeak)
-	fmt.Printf("workload: %d started, %d committed (%d cross-shard of %d started), %d killed\n",
-		ws.Started, ws.Committed, ws.CrossCommitted, ws.CrossStarted, ws.Killed)
-	fmt.Printf("commit e2e: local mean %.3fs p99 %.3fs; cross-shard mean %.3fs p99 %.3fs\n",
-		ws.LocalEndToEndMean, ws.LocalEndToEndP99, ws.CrossEndToEndMean, ws.CrossEndToEndP99)
-	fmt.Printf("router: %d local commits, %d distributed (2PC) commits, %d cross-shard aborts\n",
-		rs.LocalCommits, rs.DistCommits, rs.Aborted)
-	if verbose {
-		for i, ps := range st.PerPartition {
-			fmt.Printf("--- shard %d ---\n%s", i, ps)
-		}
-	}
-	merged, report, err := live.Sys.RecoverAll(0)
+	merged, report, err := multilog.RecoverAll(live.Setups(), 0)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("recovery: parallel %v (serial %v), %d in-doubt branches (%d resolved commit, %d presumed abort)\n",
 		report.ParallelTime, report.SerialTime, report.InDoubt, report.ResolvedCommit, report.ResolvedAbort)
-	if err := recovery.VerifyOracle(merged, live.Gen.Oracle()); err != nil {
+	if err := recovery.VerifyOracle(merged, live.Oracle()); err != nil {
 		fmt.Printf("recovery verification FAILED: %v\n", err)
 		os.Exit(2)
 	}
 	fmt.Println("recovery verified: recovered state matches every acknowledged commit")
-	if live.Sys.Insufficient() {
+	if live.Insufficient() {
 		fmt.Println("verdict: INSUFFICIENT disk space for this workload")
 		os.Exit(2)
 	}

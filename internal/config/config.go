@@ -44,7 +44,9 @@ type SimConfig struct {
 	// (0 = pure group commit, as in the paper).
 	GroupCommitTimeoutMS int64 `json:"group_commit_timeout_ms,omitempty"`
 
-	// Workload.
+	// Workload. ArrivalRate is the rate of one log: a sharded run (Shards
+	// > 1) initiates ArrivalRate on every shard, Shards × ArrivalRate in
+	// all.
 	Mix         []TxTypeJSON `json:"mix"`
 	ArrivalRate float64      `json:"arrival_rate_tps"`
 	RuntimeS    float64      `json:"runtime_s"`
@@ -56,19 +58,13 @@ type SimConfig struct {
 
 	// Sharding (multilog). Shards > 1 runs the configuration as a
 	// shared-nothing sharded system: each shard gets its own log of
-	// Generations blocks, its own FlushDrives and an equal slice of
-	// NumObjects, with transactions routed by object. CrossShardFrac is
-	// the fraction of transactions spanning two shards via 2PC in the
-	// log. Zero values mean the classic single-log run.
-	Shards         int     `json:"shards,omitempty"`
-	CrossShardFrac float64 `json:"cross_shard_frac,omitempty"`
-	// PartitionHash switches the sharded system from range declustering to
-	// hash declustering: ownership by splitmix64 hash over a GLOBAL object
-	// space. Transactions go cross-shard (2PC in the log) exactly when the
-	// hash scatters their objects, so CrossShardFrac must be zero; PDES
-	// runs, whose logical processes own contiguous slices by construction,
-	// do not support it.
-	PartitionHash bool `json:"partition_hash,omitempty"`
+	// Generations blocks, its own FlushDrives, an equal slice of NumObjects
+	// and its own ArrivalRate. CrossFrac is the share of each shard's
+	// arrivals that start as two-branch transactions with a branch on
+	// another shard, committed by 2PC in the log. Zero values mean the
+	// classic single-log run.
+	Shards    int     `json:"shards,omitempty"`
+	CrossFrac float64 `json:"cross_shard_frac,omitempty"`
 
 	// Faults optionally arms the internal/fault injection plan. Omitted —
 	// or present with all probabilities zero — means faults-off, and the
@@ -231,49 +227,10 @@ func (c SimConfig) ToHarness() (harness.Config, error) {
 	return cfg, nil
 }
 
-// ToSharded converts to a runnable sharded (multilog) configuration.
-// Under range declustering NumObjects is split evenly across the shards,
-// each of which gets its own log and flush drives sized like the
-// single-log run's; under hash declustering (PartitionHash) every shard
-// spans the whole object space and CrossShardFrac does not apply — 2PC
-// frequency is a consequence of the hash, not a knob.
-func (c SimConfig) ToSharded() (multilog.ShardedConfig, error) {
-	var scfg multilog.ShardedConfig
-	if c.Shards < 2 {
-		return scfg, fmt.Errorf("config: sharded run needs shards >= 2, have %d", c.Shards)
-	}
-	if c.PartitionHash && c.CrossShardFrac != 0 {
-		return scfg, Unsupported("partition_hash", "cross_shard_frac",
-			"hash declustering decides cross-shard frequency itself; drop cross_shard_frac")
-	}
-	if !c.PartitionHash && c.NumObjects%uint64(c.Shards) != 0 {
-		return scfg, fmt.Errorf("config: %d objects do not split evenly over %d shards", c.NumObjects, c.Shards)
-	}
-	hcfg, err := c.ToHarness()
-	if err != nil {
-		return scfg, err
-	}
-	scfg = multilog.ShardedConfig{
-		Seed:     hcfg.Seed,
-		Shards:   c.Shards,
-		Hash:     c.PartitionHash,
-		LM:       hcfg.LM,
-		Flush:    hcfg.Flush,
-		Workload: hcfg.Workload,
-	}
-	if c.PartitionHash {
-		scfg.Flush.NumObjects = c.NumObjects
-	} else {
-		scfg.Flush.NumObjects = c.NumObjects / uint64(c.Shards)
-		scfg.Workload.CrossShardFrac = c.CrossShardFrac
-	}
-	return scfg, nil
-}
-
-// ToPDES converts to a runnable parallel (PDES) sharded configuration:
-// every shard becomes one logical process with its own slice of the object
-// space, and CrossShardFrac becomes the 2PC overlay's share of each
-// shard's arrival rate. workers is the goroutine count — pure scheduling,
+// ToPDES converts to a runnable sharded configuration: every shard
+// becomes one logical process with its own slice of the object space and
+// its own ArrivalRate, and CrossFrac becomes the 2PC overlay's share of
+// each shard's arrivals. workers is the goroutine count — pure scheduling,
 // any value gives byte-identical results. A single shard is allowed (it
 // reduces exactly to the sequential harness run).
 func (c SimConfig) ToPDES(workers int) (multilog.PDESConfig, error) {
@@ -281,9 +238,9 @@ func (c SimConfig) ToPDES(workers int) (multilog.PDESConfig, error) {
 	if c.Shards < 1 {
 		return pcfg, fmt.Errorf("config: pdes run needs shards >= 1, have %d", c.Shards)
 	}
-	if c.PartitionHash {
-		return pcfg, Unsupported("pdes", "partition_hash",
-			"each logical process owns a contiguous object slice by construction; use a sequential sharded run")
+	if c.Faults != nil && c.Faults.ToFault().Active() {
+		return pcfg, Unsupported("sharded", "faults",
+			"drop the faults section; fault injection is single-log only, and elchaos -campaign -shards crash-tests sharded runs")
 	}
 	if c.NumObjects%uint64(c.Shards) != 0 {
 		return pcfg, fmt.Errorf("config: %d objects do not split evenly over %d shards", c.NumObjects, c.Shards)
@@ -299,7 +256,7 @@ func (c SimConfig) ToPDES(workers int) (multilog.PDESConfig, error) {
 		LM:        hcfg.LM,
 		Flush:     hcfg.Flush,
 		Workload:  hcfg.Workload,
-		CrossFrac: c.CrossShardFrac,
+		CrossFrac: c.CrossFrac,
 	}
 	pcfg.Flush.NumObjects = c.NumObjects / uint64(c.Shards)
 	return pcfg, nil

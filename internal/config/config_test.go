@@ -4,11 +4,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"ellog/internal/core"
 	"ellog/internal/harness"
+	"ellog/internal/multilog"
 	"ellog/internal/sim"
 )
 
@@ -154,70 +154,52 @@ func TestDefaultConfigRuns(t *testing.T) {
 // able to errors.As for the exact feature pair instead of matching
 // message strings.
 func TestUnsupportedCombos(t *testing.T) {
-	hash := Default()
-	hash.Shards = 2
-	hash.PartitionHash = true
-
-	t.Run("hash+crossfrac", func(t *testing.T) {
-		cfg := hash
-		cfg.CrossShardFrac = 0.3
-		_, err := cfg.ToSharded()
-		var combo UnsupportedCombo
-		if !errors.As(err, &combo) {
-			t.Fatalf("ToSharded returned %v, want UnsupportedCombo", err)
-		}
-		if combo.Feature != "partition_hash" || combo.Other != "cross_shard_frac" {
-			t.Fatalf("combo = %+v", combo)
-		}
-	})
-	t.Run("pdes+hash", func(t *testing.T) {
-		cfg := hash
-		_, err := cfg.ToPDES(2)
+	t.Run("sharded+faults", func(t *testing.T) {
+		cfg := Default()
+		cfg.Shards = 2
+		cfg.Faults = &FaultsJSON{Seed: 1, WriteFailProb: 0.1}
+		_, err := cfg.ToPDES(1)
 		var combo UnsupportedCombo
 		if !errors.As(err, &combo) {
 			t.Fatalf("ToPDES returned %v, want UnsupportedCombo", err)
 		}
-		if combo.Feature != "pdes" || combo.Other != "partition_hash" {
+		if combo.Feature != "sharded" || combo.Other != "faults" {
 			t.Fatalf("combo = %+v", combo)
-		}
-	})
-	t.Run("hash sharded converts", func(t *testing.T) {
-		cfg := hash
-		scfg, err := cfg.ToSharded()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !scfg.Hash || scfg.Flush.NumObjects != cfg.NumObjects {
-			t.Fatalf("hash sharded config = %+v, want global object space", scfg)
 		}
 	})
 }
 
-// TestPartitionHashJSONRoundTrip keeps the knob out of configs that do not
-// set it (omitempty) and intact in those that do.
-func TestPartitionHashJSONRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "cfg.json")
+// TestToPDESArrivalRatePerShard pins what one configuration means on a
+// sharded run: arrival_rate_tps is every shard's rate, not the machine's,
+// and cross_shard_frac is a share of each shard's arrivals — so the
+// machine starts Shards × ArrivalRate × runtime transactions, a CrossFrac
+// share of them cross-shard.
+func TestToPDESArrivalRatePerShard(t *testing.T) {
 	cfg := Default()
-	if err := cfg.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
+	cfg.Shards = 4
+	cfg.CrossFrac = 0.25
+	cfg.RuntimeS = 2
+	cfg.NumObjects = 4000
+	cfg.FlushDrives = 2
+	cfg.GroupCommitTimeoutMS = 20
+	pcfg, err := cfg.ToPDES(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(data), "partition_hash") {
-		t.Fatal("partition_hash serialized despite being unset")
+	if pcfg.Workload.ArrivalRate != cfg.ArrivalRate || pcfg.CrossFrac != 0.25 || pcfg.Flush.NumObjects != 1000 {
+		t.Fatalf("ToPDES = rate %v, cross %v, %d objects per shard; want %v, 0.25, 1000",
+			pcfg.Workload.ArrivalRate, pcfg.CrossFrac, pcfg.Flush.NumObjects, cfg.ArrivalRate)
 	}
-	cfg.PartitionHash = true
-	if err := cfg.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(path)
+	_, st, err := multilog.RunPDES(pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !loaded.PartitionHash {
-		t.Fatal("partition_hash lost in the round trip")
+	// Arrival intervals truncate to whole nanoseconds, so a generator may
+	// fit one extra arrival before the horizon.
+	if got := st.Started + st.CrossStarted; got < 800 || got > 804 {
+		t.Fatalf("4 shards at 100 TPS for 2 s started %d transactions, want 800", got)
+	}
+	if st.CrossStarted != 200 {
+		t.Fatalf("%d cross-shard starts, want a quarter of 800", st.CrossStarted)
 	}
 }

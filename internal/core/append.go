@@ -288,7 +288,7 @@ func (m *Manager) abandonWrite(b *buffer) {
 			// became durable; killing the branch is sound — the coordinator
 			// cannot have decided commit without it. (A txPrepared branch
 			// cannot appear here: fault retries are never armed on sharded
-			// systems, and 2PC states exist only behind the router.)
+			// systems, and 2PC states exist only behind the 2PC overlay.)
 			m.dropTx(c.tx, true)
 		case c.rec.Kind == logrec.KindData && c.committed:
 			m.forceFlushCell(c)

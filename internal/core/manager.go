@@ -34,7 +34,6 @@ type Manager struct {
 
 	nextLSN logrec.LSN
 	onKill  func(logrec.TxID)
-	onMem   func() // nil-gated; multilog's combined-memory-gauge hook
 	// onInsufficient is nil-gated and fires at each of the three events that
 	// make Insufficient() true; harness.Probe arms it to end the run there.
 	onInsufficient func()
@@ -156,12 +155,6 @@ func Assemble(clk sim.Clock, p Params, dev LogDevice, fc FlushConfig) (*Manager,
 // transaction for want of log space. The workload generator uses it to
 // stop issuing the victim's remaining records.
 func (m *Manager) SetKillHandler(fn func(logrec.TxID)) { m.onKill = fn }
-
-// SetMemHook registers a callback invoked whenever the manager's
-// main-memory footprint changes. The sharded system uses it to maintain a
-// combined gauge whose peak is the true system peak (per-partition peaks
-// occur at different simulated times, so their sum overstates it).
-func (m *Manager) SetMemHook(fn func()) { m.onMem = fn }
 
 // SetInsufficientHook registers a callback invoked every time the run shows
 // its disk budget to be insufficient: a transaction killed for log space, an
@@ -373,7 +366,7 @@ func (m *Manager) DecideCommit(tid logrec.TxID, pins int, onDurable func()) {
 // just become durable, except that no new record enters the log — the
 // branch's durable PREPARE plus the coordinator's durable DECIDE are the
 // commit evidence. onRetired, if non-nil, fires when the branch's LTT
-// entry retires (every update flushed); the router uses it to unpin the
+// entry retires (every update flushed); the 2PC overlay uses it to unpin the
 // coordinator's DECIDE record.
 func (m *Manager) ResolveCommit(tid logrec.TxID, onRetired func()) {
 	e := m.mustTx(tid)
@@ -621,7 +614,4 @@ func (m *Manager) touchMem() {
 	m.lotGauge.Set(now, float64(m.lot.Len()))
 	m.lttGauge.Set(now, float64(m.ltt.Len()))
 	m.memGauge.Set(now, float64(m.p.MemPerTx*m.ltt.Len()+m.p.MemPerObj*m.lot.Len()))
-	if m.onMem != nil {
-		m.onMem()
-	}
 }

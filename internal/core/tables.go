@@ -50,8 +50,8 @@ type lttEntry struct {
 	beginAt     sim.Time
 	commitAppAt sim.Time // when the COMMIT record was appended (t3)
 	onDurable   func()   // generator callback at t4
-	onPrepared  func()   // 2PC router callback when the PREPARE is durable
-	onRetired   func()   // 2PC router callback when the entry retires
+	onPrepared  func()   // 2PC overlay callback when the PREPARE is durable
+	onRetired   func()   // 2PC overlay callback when the entry retires
 	// pins counts remote participant branches that must retire before this
 	// (coordinator) entry may: the DECIDE record has to stay readable in
 	// the log until no crash can leave a participant in doubt about it.

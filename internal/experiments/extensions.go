@@ -14,6 +14,7 @@ import (
 	"ellog/internal/core"
 	"ellog/internal/harness"
 	"ellog/internal/hybrid"
+	"ellog/internal/metrics"
 	"ellog/internal/multilog"
 	"ellog/internal/runner"
 	"ellog/internal/search"
@@ -601,55 +602,22 @@ func Scale(o Options) ([]ScalePoint, error) {
 		// A whole multi-partition system is one live simulation; Do keeps
 		// the four systems within the pool's concurrency bound.
 		return p.Do(func() error {
-			eng := sim.NewEngine(o.Seed, o.Seed^0xabcdef)
-			perPart := o.NumObjects / 8 // keep total object count comparable
-			if perPart%10 != 0 {
-				perPart -= perPart % 10
-			}
-			sys, err := multilog.New(eng, parts, core.Params{
-				Mode: core.ModeEphemeral, GenSizes: []int{20, 16}, Recirculate: true,
-			}, core.FlushConfig{Drives: 10, Transfer: 25 * sim.Millisecond, NumObjects: perPart})
+			live, st, err := multilog.RunPDES(shardFrame(o, parts, 0, 25*sim.Millisecond))
 			if err != nil {
 				return err
 			}
-			var gens []*workload.Generator
-			for i := 0; i < parts; i++ {
-				sink, err := sys.Sink(i)
-				if err != nil {
-					return err
-				}
-				g, err := workload.New(eng, sink, workload.Config{
-					Mix:         workload.PaperMix(0.05),
-					ArrivalRate: 100,
-					Runtime:     o.Runtime,
-					NumObjects:  perPart,
-					OIDBase:     uint64(i) * perPart,
-					TidBase:     uint64(i) << 32,
-				})
-				if err != nil {
-					return err
-				}
-				g.Start()
-				gens = append(gens, g)
-			}
-			eng.Run(o.Runtime)
-			var committed uint64
-			for _, g := range gens {
-				committed += g.Stats().Committed
-			}
-			st := sys.Stats()
-			_, report, err := sys.RecoverAll(0)
+			_, report, err := multilog.RecoverAll(live.Setups(), 0)
 			if err != nil {
 				return err
 			}
 			out[idx] = ScalePoint{
 				Partitions:   parts,
-				TPS:          float64(committed) / o.Runtime.Seconds(),
+				TPS:          float64(st.Committed) / o.Runtime.Seconds(),
 				Bandwidth:    st.Bandwidth,
 				Blocks:       st.TotalBlocks,
 				RecoveryPar:  report.ParallelTime,
 				RecoverySer:  report.SerialTime,
-				Insufficient: sys.Insufficient(),
+				Insufficient: live.Insufficient(),
 			}
 			return nil
 		})
@@ -687,12 +655,39 @@ type CrossShardPoint struct {
 	Insufficient bool
 }
 
+// shardFrame is the sharded run both multilog experiments sweep: the
+// paper's 5 % mix at 100 TPS per shard on a recirculating 20+16 block log,
+// with an eighth of the object space per shard so the total stays
+// comparable. It runs on the sequential reference schedule, one run per
+// pool slot.
+func shardFrame(o Options, shards int, crossFrac float64, transfer sim.Time) multilog.PDESConfig {
+	perShard := o.NumObjects / 8
+	if perShard%10 != 0 {
+		perShard -= perShard % 10
+	}
+	return multilog.PDESConfig{
+		Seed:   o.Seed,
+		Shards: shards,
+		LM: core.Params{
+			Mode: core.ModeEphemeral, GenSizes: []int{20, 16}, Recirculate: true,
+		},
+		Flush: core.FlushConfig{Drives: 10, Transfer: transfer, NumObjects: perShard},
+		Workload: workload.Config{
+			Mix:         workload.PaperMix(0.05),
+			ArrivalRate: 100,
+			Runtime:     o.Runtime,
+		},
+		CrossFrac: crossFrac,
+	}
+}
+
 // CrossShard sweeps shard count x cross-shard fraction through the
-// router's 2PC-in-the-log: each cell runs the paper workload at 100 TPS
-// per shard with the given fraction of transactions drawing oids from two
-// shards, then crashes the whole machine and recovers, reporting how the
-// distributed-commit path prices against the local one and what the
-// in-doubt resolution pass had to settle.
+// message-based 2PC in the log: each cell runs the paper workload at 100
+// TPS per shard with the given share of each shard's arrivals starting as
+// two-branch transactions across shards, then crashes the whole machine
+// at the end of the run and recovers, reporting how the distributed-commit
+// path prices against the local one and what the in-doubt resolution pass
+// had to settle.
 func CrossShard(o Options) ([]CrossShardPoint, error) {
 	o = o.WithDefaults()
 	p := o.pool()
@@ -713,46 +708,34 @@ func CrossShard(o Options) ([]CrossShardPoint, error) {
 	err := p.ForEach(len(cells), func(idx int) error {
 		c := cells[idx]
 		return p.Do(func() error {
-			perShard := o.NumObjects / 8
-			if perShard%10 != 0 {
-				perShard -= perShard % 10
-			}
-			live, err := multilog.RunSharded(multilog.ShardedConfig{
-				Seed:   o.Seed,
-				Shards: c.shards,
-				LM: core.Params{
-					Mode: core.ModeEphemeral, GenSizes: []int{20, 16}, Recirculate: true,
-				},
-				Flush: core.FlushConfig{Drives: 10, Transfer: o.FlushTransfer, NumObjects: perShard},
-				Workload: workload.Config{
-					Mix:            workload.PaperMix(0.05),
-					ArrivalRate:    100 * float64(c.shards),
-					Runtime:        o.Runtime,
-					CrossShardFrac: c.frac,
-				},
-			})
+			live, st, err := multilog.RunPDES(shardFrame(o, c.shards, c.frac, o.FlushTransfer))
 			if err != nil {
 				return err
 			}
-			ws := live.Gen.Stats()
-			_, report, err := live.Sys.RecoverAll(0)
+			// PDESStats merges both paths' latencies; the local column is
+			// the generators' alone.
+			var local metrics.Histogram
+			for _, s := range live.Shards {
+				s.Gen.MergeLatencies(&local)
+			}
+			_, report, err := multilog.RecoverAll(live.Setups(), 0)
 			if err != nil {
 				return err
 			}
 			out[idx] = CrossShardPoint{
 				Shards:         c.shards,
 				Frac:           c.frac,
-				TPS:            float64(ws.Committed) / o.Runtime.Seconds(),
-				Bandwidth:      live.Sys.Stats().Bandwidth,
-				LocalMean:      ws.LocalEndToEndMean,
-				LocalP99:       ws.LocalEndToEndP99,
-				CrossMean:      ws.CrossEndToEndMean,
-				CrossP99:       ws.CrossEndToEndP99,
+				TPS:            float64(st.Committed+st.CrossCommitted) / o.Runtime.Seconds(),
+				Bandwidth:      st.Bandwidth,
+				LocalMean:      local.Mean(),
+				LocalP99:       local.Quantile(0.99),
+				CrossMean:      st.CrossE2EMean,
+				CrossP99:       st.CrossE2EP99,
 				RecoveryPar:    report.ParallelTime,
 				InDoubt:        report.InDoubt,
 				ResolvedCommit: report.ResolvedCommit,
 				ResolvedAbort:  report.ResolvedAbort,
-				Insufficient:   live.Sys.Insufficient(),
+				Insufficient:   live.Insufficient(),
 			}
 			return nil
 		})

@@ -126,6 +126,9 @@ func (a *Array) MaxRate() float64 {
 	return float64(len(a.drives)) / a.transfer.Seconds()
 }
 
+// NumObjects reports the size of the object space the array serves.
+func (a *Array) NumObjects() uint64 { return a.numObjects }
+
 func (a *Array) driveFor(obj logrec.OID) *drive {
 	idx := uint64(obj) / a.perDrive
 	if idx >= uint64(len(a.drives)) {

@@ -59,7 +59,7 @@ type Rule struct {
 
 // Ruleset is the determinism contract: every analyzer, and where it
 // applies. Order is the reporting order. Empty scopes are module-wide,
-// so new packages — internal/multilog and its 2PC router among them —
+// so new packages — internal/multilog and its 2PC overlay among them —
 // are covered automatically; only add Skip entries for packages that
 // legitimately own a source the rest of the module must not touch.
 var Ruleset = []Rule{

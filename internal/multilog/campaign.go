@@ -2,6 +2,7 @@ package multilog
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"ellog/internal/logrec"
@@ -12,12 +13,12 @@ import (
 )
 
 // CrossPoint is one crash point in a cross-shard campaign: stop the whole
-// simulated machine immediately after the K-th completed block write
-// (counting across every shard's log), then crash either everything or a
+// simulated machine at instant At — one at which some shard's block write
+// became durable in the reference run — then crash either everything or a
 // single shard.
 type CrossPoint struct {
 	Index int
-	K     int // ordinal of the triggering durable event (1-based)
+	At    sim.Time
 	// Shard -1 crashes the whole machine (every shard recovers from its
 	// image); otherwise only this shard crashes and recovers against the
 	// other shards' intact logs.
@@ -26,9 +27,9 @@ type CrossPoint struct {
 
 func (p CrossPoint) String() string {
 	if p.Shard < 0 {
-		return fmt.Sprintf("whole-machine crash at durable #%d", p.K)
+		return fmt.Sprintf("whole-machine crash at %v", p.At)
 	}
-	return fmt.Sprintf("shard %d crash at durable #%d", p.Shard, p.K)
+	return fmt.Sprintf("shard %d crash at %v", p.Shard, p.At)
 }
 
 // CrossFailure describes one crash point where cross-shard atomicity or
@@ -40,7 +41,10 @@ type CrossFailure struct {
 
 // CrossCampaignConfig parameterizes a cross-shard crash sweep.
 type CrossCampaignConfig struct {
-	Base ShardedConfig
+	// Base is the sharded run to crash. Its Workers is ignored: every run
+	// of the sweep is the 1-worker sequential reference execution, so the
+	// points themselves fan out across the pool.
+	Base PDESConfig
 	// Horizon is how far each run may execute before it is considered
 	// drained; 0 selects Runtime + 30 s.
 	Horizon sim.Time
@@ -52,12 +56,13 @@ func (c CrossCampaignConfig) withDefaults() CrossCampaignConfig {
 	if c.Horizon == 0 {
 		c.Horizon = c.Base.Workload.Runtime + 30*sim.Second
 	}
+	c.Base.Workers = 1
 	return c
 }
 
 // CrossCampaignResult summarizes a sweep.
 type CrossCampaignResult struct {
-	Durables     int // block-write completions in the reference run, all shards
+	Instants     int // distinct instants with a durable block write in the reference run, any shard
 	Points       int // crash points actually swept (after sampling)
 	WholeMachine int
 	SingleShard  int
@@ -82,8 +87,8 @@ func (r CrossCampaignResult) Passed() bool { return len(r.Failures) == 0 }
 // String renders a one-screen summary.
 func (r CrossCampaignResult) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "cross-shard campaign: %d points (%d whole-machine, %d single-shard) over a run of %d durables\n",
-		r.Points, r.WholeMachine, r.SingleShard, r.Durables)
+	fmt.Fprintf(&b, "cross-shard campaign: %d points (%d whole-machine, %d single-shard) over a run of %d durable instants\n",
+		r.Points, r.WholeMachine, r.SingleShard, r.Instants)
 	fmt.Fprintf(&b, "  workload: %d cross-shard transactions started, %d committed\n",
 		r.CrossStarted, r.CrossCommitted)
 	fmt.Fprintf(&b, "  in-doubt branches: %d total, %d resolved commit, %d presumed abort\n",
@@ -103,21 +108,23 @@ func (r CrossCampaignResult) String() string {
 	return b.String()
 }
 
-// RunCrossCampaign sweeps crash points over a sharded run. A reference
-// run counts block-write completions across all shards; then every
-// sampled point replays the identical simulation, stops the machine at
-// the point's trigger, recovers — the whole machine or one shard — and
-// verifies against the workload oracle.
+// RunCrossCampaign sweeps crash points over a sharded run. A reference run
+// collects every instant at which some shard's block write became
+// durable; then every sampled point replays the identical simulation to
+// that instant — PE.Run(At) fires every event at or before At on every
+// LP — recovers the whole machine or one shard, and verifies against the
+// joined oracle.
 //
-// The property checked is cross-shard atomicity on top of the usual
-// recovery contract: at every point, each acknowledged transaction's
-// updates are recovered on every shard it touched, and no unacknowledged
-// transaction's updates survive anywhere — a cross-shard transaction
-// never recovers committed on one shard and aborted on another. Crashes
-// are clean (the trigger's synchronous effects, including commit
-// acknowledgements, complete before the stop), so acknowledged and
-// decision-durable coincide exactly and the oracle check is strict in
-// both directions.
+// The stop is a consistent cut: a message sent at or before At lands no
+// earlier than At plus the lookahead, so no LP has seen an effect whose
+// cause lies beyond the cut. It is also clean: the durable write's
+// synchronous effects, commit and decision acknowledgements included,
+// fire at At. Acknowledged and decision-durable therefore coincide exactly
+// and the oracle check is strict in both directions — each acknowledged
+// transaction's updates are recovered on every shard it touched, and no
+// unacknowledged transaction's updates survive anywhere: a cross-shard
+// transaction never recovers committed on one shard and aborted on
+// another.
 //
 // Points are independent simulations; a pool parallelizes them and
 // results are assembled in point order, keeping parallel and sequential
@@ -126,43 +133,43 @@ func RunCrossCampaign(cfg CrossCampaignConfig, pool *runner.Pool) (CrossCampaign
 	cfg = cfg.withDefaults()
 	var res CrossCampaignResult
 
-	// Reference run: count durable block writes across every shard. Every
-	// point replays the same seed, so ordinal K identifies the same write
-	// completion in every replay.
-	ref, err := BuildSharded(cfg.Base)
+	ref, err := BuildPDES(cfg.Base)
 	if err != nil {
 		return res, err
 	}
+	var instants []sim.Time
 	tr := trace.Func(func(e trace.Event) {
 		if e.Kind == trace.EvDurable {
-			res.Durables++
+			instants = append(instants, e.At)
 		}
 	})
-	for i := 0; i < ref.Sys.Partitions(); i++ {
-		ref.Sys.Partition(i).LM.SetTracer(tr)
+	for _, s := range ref.Shards {
+		s.Setup.LM.SetTracer(tr)
 	}
-	ref.Eng.Run(cfg.Horizon)
-	ws := ref.Gen.Stats()
-	res.CrossStarted = ws.CrossStarted
-	res.CrossCommitted = ws.CrossCommitted
+	ref.PE.Run(cfg.Horizon)
+	slices.Sort(instants)
+	instants = slices.Compact(instants)
+	res.Instants = len(instants)
+	st := ref.Stats()
+	res.CrossStarted = st.CrossStarted
+	res.CrossCommitted = st.CrossCommitted
 
-	// Two points per durable: the whole machine, and one shard (rotating
+	// Two points per instant: the whole machine, and one shard (rotating
 	// through them so every shard crashes at many different instants).
-	points := make([]CrossPoint, 0, 2*res.Durables)
-	for k := 1; k <= res.Durables; k++ {
-		points = append(points, CrossPoint{K: k, Shard: -1})
-		points = append(points, CrossPoint{K: k, Shard: (k - 1) % cfg.Base.Shards})
-	}
-	if cfg.MaxPoints > 0 && len(points) > cfg.MaxPoints {
-		stride := (len(points) + cfg.MaxPoints - 1) / cfg.MaxPoints
-		sampled := points[:0]
-		for i := 0; i < len(points); i += stride {
-			sampled = append(sampled, points[i])
+	// Sampling strides over instants, so both legs survive it.
+	if cfg.MaxPoints > 0 && 2*len(instants) > cfg.MaxPoints {
+		stride := (2*len(instants) + cfg.MaxPoints - 1) / cfg.MaxPoints
+		sampled := instants[:0]
+		for i := 0; i < len(instants); i += stride {
+			sampled = append(sampled, instants[i])
 		}
-		points = sampled
+		instants = sampled
 	}
-	for i := range points {
-		points[i].Index = i
+	points := make([]CrossPoint, 0, 2*len(instants))
+	for k, at := range instants {
+		points = append(points,
+			CrossPoint{Index: 2 * k, At: at, Shard: -1},
+			CrossPoint{Index: 2*k + 1, At: at, Shard: k % cfg.Base.Shards})
 	}
 
 	type outcome struct {
@@ -208,34 +215,20 @@ func RunCrossCampaign(cfg CrossCampaignConfig, pool *runner.Pool) (CrossCampaign
 	return res, nil
 }
 
-// runCrossPoint replays the base run, crashes it at the point, recovers
-// and verifies. The returned error pair is (property violation,
+// runCrossPoint replays the base run to the point's instant, crashes,
+// recovers and verifies. The returned error pair is (property violation,
 // infrastructure error).
 func runCrossPoint(cfg CrossCampaignConfig, pt CrossPoint) (RecoveryReport, error, error) {
-	live, err := BuildSharded(cfg.Base)
+	live, err := BuildPDES(cfg.Base)
 	if err != nil {
 		return RecoveryReport{}, nil, err
 	}
-	n := 0
-	tr := trace.Func(func(e trace.Event) {
-		if e.Kind == trace.EvDurable {
-			n++
-			if n == pt.K {
-				live.Eng.Stop()
-			}
-		}
-	})
-	for i := 0; i < live.Sys.Partitions(); i++ {
-		live.Sys.Partition(i).LM.SetTracer(tr)
-	}
-	live.Eng.Run(cfg.Horizon)
-	if n < pt.K {
-		return RecoveryReport{}, nil, fmt.Errorf("multilog: %v never reached (saw %d of %d durables; replay diverged?)", pt, n, pt.K)
-	}
+	live.PE.Run(pt.At)
 
-	oracle := live.Gen.Oracle()
+	oracle := live.Oracle()
+	parts := live.Setups()
 	if pt.Shard < 0 {
-		merged, report, rerr := live.Sys.RecoverAll(0)
+		merged, report, rerr := RecoverAll(parts, 0)
 		if rerr != nil {
 			return report, fmt.Errorf("recovery failed: %v", rerr), nil
 		}
@@ -244,7 +237,7 @@ func runCrossPoint(cfg CrossCampaignConfig, pt CrossPoint) (RecoveryReport, erro
 		// the client ever hearing the decision would show up here.
 		for i, per := range report.Per {
 			for _, tx := range per.WinnerTxs {
-				if !live.Gen.TxInfo(tx).Acked {
+				if !live.Acked(tx) {
 					return report, fmt.Errorf("shard %d: tx %d recovered as a winner without acknowledgement", i, tx), nil
 				}
 			}
@@ -255,13 +248,14 @@ func runCrossPoint(cfg CrossCampaignConfig, pt CrossPoint) (RecoveryReport, erro
 	// oracle restricted to its object range — its slice of every
 	// acknowledged cross-shard transaction included, even when the
 	// coordinator was elsewhere.
-	shardDB, report, rerr := live.Sys.RecoverShard(pt.Shard, 0)
+	shardDB, report, rerr := RecoverShard(parts, pt.Shard, 0)
 	if rerr != nil {
 		return report, fmt.Errorf("recovery failed: %v", rerr), nil
 	}
+	width := cfg.Base.Flush.NumObjects
 	restricted := make(map[logrec.OID]logrec.LSN)
 	for oid, lsn := range oracle {
-		if live.Sys.OwnerOf(oid) == pt.Shard {
+		if uint64(oid)/width == uint64(pt.Shard) {
 			restricted[oid] = lsn
 		}
 	}

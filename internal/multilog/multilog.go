@@ -6,18 +6,24 @@
 // checkpointing has been a part of all DBMS designs [and] relies on some
 // form of synchronization of activity in the entire system."
 //
-// Because EL needs no checkpoints, partitions need no cross-log
-// synchronization for local work: each partition runs its own logging
-// manager over its own generations, flush drives and slice of the object
-// space (range partitioning, as in the parallel database systems of the
-// paper's reference [3], DeWitt & Gray). Transactions touching a single
-// partition are routed to it outright; transactions spanning several run
-// two-phase commit in the log itself (see Router): participants log
-// PREPARE records, the coordinator logs the DECIDE record, and no shard
-// ever needs a synchronized checkpoint — the decision lives in a log that
-// is always small enough to replay in full. Crash recovery replays each
-// partition's own small log in parallel, then resolves in-doubt prepared
-// branches against the coordinator logs' decision records.
+// Because EL needs no checkpoints, shards need no cross-log
+// synchronization for local work: each shard runs its own logging manager
+// over its own generations, flush drives and slice of the object space
+// (range partitioning, as in the parallel database systems of the paper's
+// reference [3], DeWitt & Gray). Every shard is one logical process of a
+// sim.ParallelEngine (pdes.go). Transactions spanning two shards run
+// two-phase commit in the log itself, as messages between the logical
+// processes (pdes_cross.go): the participant logs a PREPARE record, the
+// coordinator logs the DECIDE record, and no shard ever needs a
+// synchronized checkpoint — the decision lives in a log that is always
+// small enough to replay in full. Crash recovery replays each shard's own
+// small log, then resolves in-doubt prepared branches against the
+// coordinator logs' decision records.
+//
+// Coordinates. A shard works on its local object range [0, width), where
+// width is its flush array's object count (Flush.NumObjects); local oid o
+// of shard s is global oid s*width + o. Recovered states and the oracle
+// are joined in global coordinates.
 package multilog
 
 import (
@@ -25,257 +31,26 @@ import (
 
 	"ellog/internal/core"
 	"ellog/internal/logrec"
-	"ellog/internal/metrics"
 	"ellog/internal/recovery"
 	"ellog/internal/sim"
 	"ellog/internal/statedb"
 )
 
-// Partitioning selects how the object space maps onto partitions.
-type Partitioning int
-
-const (
-	// PartitionRange is DeWitt & Gray's range declustering: partition p
-	// owns the contiguous slice [p*width, (p+1)*width) of the object
-	// space. Transactions with locality stay single-shard.
-	PartitionRange Partitioning = iota
-	// PartitionHash spreads the GLOBAL object space over the partitions by
-	// a splitmix64 hash of the oid. Load balances regardless of key
-	// skew, at the price of multi-record transactions routinely spanning
-	// shards — every such transaction pays 2PC with the probability the
-	// hash scatters its objects.
-	PartitionHash
-)
-
-// System is a set of EL partitions sharing one simulated machine (engine)
-// and nothing else.
-type System struct {
-	eng    *sim.Engine
-	parts  []*core.Setup
-	scheme Partitioning
-	// objectsPerPart is each partition's object-range width under
-	// PartitionRange; partition p owns oids
-	// [p*objectsPerPart, (p+1)*objectsPerPart). Zero under PartitionHash.
-	objectsPerPart uint64
-	// totalObjects is the size of the global object space under either
-	// scheme.
-	totalObjects uint64
-	// memGauge tracks the combined LOT+LTT memory of all partitions at
-	// every change, so its peak is the true system peak — partition peaks
-	// occur at different simulated times, and summing them overstates what
-	// must actually be provisioned.
-	memGauge metrics.Gauge
+// globalOID lifts shard s's local oid to global coordinates.
+func globalOID(s int, width uint64, local logrec.OID) logrec.OID {
+	return logrec.OID(uint64(s)*width + uint64(local))
 }
 
-// New builds a range-partitioned system of n identical partitions. Each
-// partition gets its own log (params.GenSizes blocks), its own flush
-// drives and the object range [i*fc.NumObjects, (i+1)*fc.NumObjects).
-func New(eng *sim.Engine, n int, params core.Params, fc core.FlushConfig) (*System, error) {
-	sys := &System{
-		scheme:         PartitionRange,
-		objectsPerPart: fc.NumObjects,
-		totalObjects:   uint64(n) * fc.NumObjects,
-	}
-	return build(sys, eng, n, params, fc)
-}
-
-// NewHash builds a hash-partitioned system of n identical partitions over
-// a GLOBAL object space of fc.NumObjects: any oid may land on any
-// partition (owner = splitmix64(oid) mod n), so every partition's flush
-// drives span the whole space and object identifiers are never translated.
-func NewHash(eng *sim.Engine, n int, params core.Params, fc core.FlushConfig) (*System, error) {
-	sys := &System{scheme: PartitionHash, totalObjects: fc.NumObjects}
-	return build(sys, eng, n, params, fc)
-}
-
-func build(sys *System, eng *sim.Engine, n int, params core.Params, fc core.FlushConfig) (*System, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("multilog: need at least one partition")
-	}
-	if fc.NumObjects == 0 {
-		return nil, fmt.Errorf("multilog: partition object range must be positive")
-	}
-	sys.eng = eng
-	for i := 0; i < n; i++ {
-		setup, err := core.NewSetup(eng, params, fc)
-		if err != nil {
-			return nil, fmt.Errorf("multilog: partition %d: %w", i, err)
-		}
-		setup.LM.SetMemHook(sys.touchMem)
-		sys.parts = append(sys.parts, setup)
-	}
-	return sys, nil
-}
-
-// splitmix64 is the splitmix64 output finalizer: a cheap, well-mixed
-// 64-bit permutation, so consecutive oids scatter uniformly over the
-// partitions.
-func splitmix64(x uint64) uint64 {
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// touchMem refreshes the combined memory gauge. It is installed as every
-// partition manager's memory hook, so it fires whenever any partition's
-// LOT or LTT changes size.
-func (s *System) touchMem() {
-	total := 0.0
-	for _, p := range s.parts {
-		total += p.LM.MemBytes()
-	}
-	s.memGauge.Set(s.eng.Now(), total)
-}
-
-// Partitions reports the partition count.
-func (s *System) Partitions() int { return len(s.parts) }
-
-// Partition returns one partition's components. An out-of-range index is
-// a caller bug and panics with a diagnostic rather than a bare index
-// error.
-func (s *System) Partition(i int) *core.Setup {
-	if i < 0 || i >= len(s.parts) {
-		panic(fmt.Sprintf("multilog: partition %d out of range (system has %d)", i, len(s.parts)))
-	}
-	return s.parts[i]
-}
-
-// OwnerOf returns the partition index owning an object, or -1 when the
-// oid lies outside the object space (callers decide whether that is an
-// error; the Router turns it into a diagnostic).
-func (s *System) OwnerOf(oid logrec.OID) int {
-	if s.totalObjects == 0 || uint64(oid) >= s.totalObjects {
-		return -1
-	}
-	if s.scheme == PartitionHash {
-		return int(splitmix64(uint64(oid)) % uint64(len(s.parts)))
-	}
-	return int(uint64(oid) / s.objectsPerPart)
-}
-
-// Scheme reports the partitioning scheme.
-func (s *System) Scheme() Partitioning { return s.scheme }
-
-// localOID translates a global oid to the coordinates partition shard
-// works in: its slice offset under range partitioning, the oid unchanged
-// under hash partitioning (hash partitions keep global coordinates — their
-// flush drives span the whole space).
-func (s *System) localOID(shard int, oid logrec.OID) logrec.OID {
-	if s.scheme == PartitionHash {
-		return oid
-	}
-	return logrec.OID(uint64(oid) - uint64(shard)*s.objectsPerPart)
-}
-
-// globalOID is the inverse of localOID: it lifts a partition-local oid —
-// e.g. one read back out of a recovered log — to global coordinates,
-// reporting false for an oid the partition cannot legitimately hold.
-func (s *System) globalOID(shard int, local logrec.OID) (logrec.OID, bool) {
-	if s.scheme == PartitionHash {
-		return local, s.OwnerOf(local) == shard
-	}
-	if uint64(local) >= s.objectsPerPart {
-		return 0, false
-	}
-	return logrec.OID(uint64(shard)*s.objectsPerPart + uint64(local)), true
-}
-
-// Sink returns partition i's transaction interface in GLOBAL object
-// coordinates: the partition internally works on its local object range
-// [0, NumObjects) (its flush drives are range partitioned over exactly
-// that), and the sink translates. It satisfies workload.LogManager. An
-// out-of-range index is reported here, at construction, instead of
-// panicking on first use.
-func (s *System) Sink(i int) (*PartitionSink, error) {
-	if i < 0 || i >= len(s.parts) {
-		return nil, fmt.Errorf("multilog: sink for partition %d out of range (system has %d)", i, len(s.parts))
-	}
-	return &PartitionSink{sys: s, part: i}, nil
-}
-
-// PartitionSink routes one partition's transactions, translating global
-// object identifiers to the partition's local coordinates.
-type PartitionSink struct {
-	sys  *System
-	part int
-}
-
-// BeginHinted starts a transaction on the partition.
-func (ps *PartitionSink) BeginHinted(tid logrec.TxID, expected sim.Time) {
-	ps.sys.parts[ps.part].LM.BeginHinted(tid, expected)
-}
-
-// WriteData logs an update; oid is global and must belong to the
-// partition.
-func (ps *PartitionSink) WriteData(tid logrec.TxID, oid logrec.OID, size int) logrec.LSN {
-	if ps.sys.OwnerOf(oid) != ps.part {
-		panic(fmt.Sprintf("multilog: object %d routed to partition %d of %d (owner %d)",
-			oid, ps.part, len(ps.sys.parts), ps.sys.OwnerOf(oid)))
-	}
-	return ps.sys.parts[ps.part].LM.WriteData(tid, ps.sys.localOID(ps.part, oid), size)
-}
-
-// Commit requests commit; onDurable fires at the group-commit ack.
-func (ps *PartitionSink) Commit(tid logrec.TxID, onDurable func()) {
-	ps.sys.parts[ps.part].LM.Commit(tid, onDurable)
-}
-
-// SetKillHandler registers the kill callback for this partition.
-func (ps *PartitionSink) SetKillHandler(fn func(logrec.TxID)) {
-	ps.sys.parts[ps.part].LM.SetKillHandler(fn)
-}
-
-// Stats aggregates all partitions.
-type Stats struct {
-	PerPartition []core.Stats
-	TotalBlocks  int
-	TotalWrites  uint64
-	Bandwidth    float64
-	Killed       uint64
-	// MemPeak is the peak of the combined memory gauge — the highest
-	// simultaneous LOT+LTT footprint across all partitions. Per-partition
-	// peaks remain available in PerPartition; their sum is an upper bound,
-	// not the true peak, because the partitions peak at different times.
-	MemPeak float64
-}
-
-// Stats snapshots every partition.
-func (s *System) Stats() Stats {
-	var out Stats
-	for _, p := range s.parts {
-		st := p.LM.Stats()
-		out.PerPartition = append(out.PerPartition, st)
-		out.TotalBlocks += st.TotalBlocks
-		out.TotalWrites += st.TotalWrites
-		out.Bandwidth += st.TotalBandwidth
-		out.Killed += st.Killed
-	}
-	out.MemPeak = s.memGauge.Peak()
-	return out
-}
-
-// Insufficient reports whether any partition exceeded its budget, via the
-// managers' O(1) health probes — no full Stats snapshot is built for this
-// single bool.
-func (s *System) Insufficient() bool {
-	for _, p := range s.parts {
-		if p.LM.Insufficient() {
-			return true
-		}
-	}
-	return false
-}
-
-// RecoveryReport describes a whole-machine recovery: the per-partition
-// replay passes plus the cross-shard resolution pass.
+// RecoveryReport describes a whole-machine recovery: the per-shard replay
+// passes plus the cross-shard resolution pass.
 type RecoveryReport struct {
-	Per []recovery.Result // one per partition, in partition order
-	// ParallelTime is the slowest partition's replay: partitions share
-	// nothing, so wall time is the maximum, not the sum — the payoff of
-	// checkpoint-free logs.
+	Per []recovery.Result // one per shard, in shard order
+	// ParallelTime is the slowest shard's replay: shards share nothing, so
+	// wall time is the maximum, not the sum — the payoff of checkpoint-free
+	// logs.
 	ParallelTime sim.Time
-	// SerialTime is the sum over partitions — what a single log reader
-	// would pay.
+	// SerialTime is the sum over shards — what a single log reader would
+	// pay.
 	SerialTime sim.Time
 	// 2PC resolution: in-doubt prepared branches surfaced by the replay
 	// passes, and how the coordinator logs settled them.
@@ -284,84 +59,80 @@ type RecoveryReport struct {
 	ResolvedAbort  int // no durable decision anywhere: presumed abort
 }
 
-// RecoverAll recovers every partition independently, resolves in-doubt
+// RecoverAll recovers every shard independently, resolves in-doubt
 // prepared transactions against the union of decision records, and merges
-// the partitions' recovered states into one database in global object
+// the shards' recovered states into one database in global object
 // coordinates.
-func (s *System) RecoverAll(blockRead sim.Time) (*statedb.DB, RecoveryReport, error) {
-	recs, report, winners, err := s.recoverParts(blockRead)
+func RecoverAll(parts []*core.Setup, blockRead sim.Time) (*statedb.DB, RecoveryReport, error) {
+	recs, report, winners, err := recoverParts(parts, blockRead)
 	if err != nil {
 		return nil, report, err
 	}
 	merged := statedb.New()
 	for i, rec := range recs {
-		s.resolveInDoubt(rec, &report, report.Per[i], winners)
-		var mergeErr error
-		rec.Range(func(oid logrec.OID, v statedb.Version) bool {
-			gid, ok := s.globalOID(i, oid)
-			if !ok {
-				mergeErr = fmt.Errorf("multilog: partition %d recovered object %d it does not own", i, oid)
-				return false
-			}
-			merged.ForceSet(gid, v)
-			return true
-		})
-		if mergeErr != nil {
-			return nil, report, mergeErr
+		resolveInDoubt(rec, &report, report.Per[i], winners)
+		if err := lift(merged, rec, i, parts[i].Flush.NumObjects()); err != nil {
+			return nil, report, err
 		}
 	}
 	return merged, report, nil
 }
 
-// RecoverShard recovers a single crashed partition against the other
-// partitions' (intact) logs: partition i's image is replayed, and its
-// in-doubt prepared branches are resolved by consulting every shard's
-// durable decision records — the coordinator of a cross-shard transaction
-// may be any of them. The recovered state is returned in GLOBAL object
-// coordinates, covering only partition i's range.
-func (s *System) RecoverShard(i int, blockRead sim.Time) (*statedb.DB, RecoveryReport, error) {
-	if i < 0 || i >= len(s.parts) {
-		return nil, RecoveryReport{}, fmt.Errorf("multilog: recover of partition %d out of range (system has %d)", i, len(s.parts))
+// RecoverShard recovers a single crashed shard against the other shards'
+// (intact) logs: shard i's image is replayed, and its in-doubt prepared
+// branches are resolved by consulting every shard's durable decision
+// records — the coordinator of a cross-shard transaction may be any of
+// them. The recovered state is returned in GLOBAL object coordinates,
+// covering only shard i's range.
+func RecoverShard(parts []*core.Setup, i int, blockRead sim.Time) (*statedb.DB, RecoveryReport, error) {
+	if i < 0 || i >= len(parts) {
+		return nil, RecoveryReport{}, fmt.Errorf("multilog: recover of shard %d out of range (system has %d)", i, len(parts))
 	}
-	recs, report, winners, err := s.recoverParts(blockRead)
+	recs, report, winners, err := recoverParts(parts, blockRead)
 	if err != nil {
 		return nil, report, err
 	}
-	// Only partition i crashed: its replay is the recovery cost, and only
-	// its in-doubt branches need resolution.
+	// Only shard i crashed: its replay is the recovery cost, and only its
+	// in-doubt branches need resolution.
 	report.ParallelTime = report.Per[i].EstimatedTime
 	report.SerialTime = report.Per[i].EstimatedTime
-	s.resolveInDoubt(recs[i], &report, report.Per[i], winners)
+	resolveInDoubt(recs[i], &report, report.Per[i], winners)
 	out := statedb.New()
-	var mergeErr error
-	recs[i].Range(func(oid logrec.OID, v statedb.Version) bool {
-		gid, ok := s.globalOID(i, oid)
-		if !ok {
-			mergeErr = fmt.Errorf("multilog: partition %d recovered object %d it does not own", i, oid)
-			return false
-		}
-		out.ForceSet(gid, v)
-		return true
-	})
-	if mergeErr != nil {
-		return nil, report, mergeErr
+	if err := lift(out, recs[i], i, parts[i].Flush.NumObjects()); err != nil {
+		return nil, report, err
 	}
 	return out, report, nil
 }
 
-// recoverParts replays every partition's durable log and collects the
-// global winner set — every transaction with a durable COMMIT or DECIDE
-// on any shard. Transaction identifiers are globally unique and only a
+// lift copies shard s's recovered state, in its local coordinates, into
+// out in global ones. An oid outside the shard's range is an error: the
+// shard cannot legitimately hold it.
+func lift(out, rec *statedb.DB, s int, width uint64) error {
+	var err error
+	rec.Range(func(oid logrec.OID, v statedb.Version) bool {
+		if uint64(oid) >= width {
+			err = fmt.Errorf("multilog: shard %d recovered object %d outside its %d-object range", s, oid, width)
+			return false
+		}
+		out.ForceSet(globalOID(s, width, oid), v)
+		return true
+	})
+	return err
+}
+
+// recoverParts replays every shard's durable log and collects the global
+// winner set — every transaction with a durable COMMIT or DECIDE on any
+// shard. Transaction identifiers are globally unique and only a
 // coordinator ever logs a decision, so the union is exactly the set of
 // globally committed transactions.
-func (s *System) recoverParts(blockRead sim.Time) ([]*statedb.DB, RecoveryReport, map[logrec.TxID]bool, error) {
+func recoverParts(parts []*core.Setup, blockRead sim.Time) ([]*statedb.DB, RecoveryReport, map[logrec.TxID]bool, error) {
 	var report RecoveryReport
-	recs := make([]*statedb.DB, len(s.parts))
+	recs := make([]*statedb.DB, len(parts))
 	winners := make(map[logrec.TxID]bool)
-	for i, p := range s.parts {
+	for i, p := range parts {
 		rec, res, err := recovery.Recover(p.Dev, p.DB, blockRead)
 		if err != nil {
-			return nil, report, nil, fmt.Errorf("multilog: partition %d: %w", i, err)
+			return nil, report, nil, fmt.Errorf("multilog: shard %d: %w", i, err)
 		}
 		recs[i] = rec
 		report.Per = append(report.Per, res)
@@ -376,12 +147,12 @@ func (s *System) recoverParts(blockRead sim.Time) ([]*statedb.DB, RecoveryReport
 	return recs, report, winners, nil
 }
 
-// resolveInDoubt settles one partition's in-doubt prepared branches: a
-// branch whose transaction appears in the global winner set redoes its
-// durable updates (the decision was commit); otherwise it is presumed
-// aborted — abort decisions are never logged, so absence of a durable
-// DECIDE is the abort verdict.
-func (s *System) resolveInDoubt(rec *statedb.DB, report *RecoveryReport, res recovery.Result, winners map[logrec.TxID]bool) {
+// resolveInDoubt settles one shard's in-doubt prepared branches: a branch
+// whose transaction appears in the global winner set redoes its durable
+// updates (the decision was commit); otherwise it is presumed aborted —
+// abort decisions are never logged, so absence of a durable DECIDE is the
+// abort verdict.
+func resolveInDoubt(rec *statedb.DB, report *RecoveryReport, res recovery.Result, winners map[logrec.TxID]bool) {
 	for _, idt := range res.InDoubt {
 		report.InDoubt++
 		if !winners[idt.Tx] {

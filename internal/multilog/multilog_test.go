@@ -7,103 +7,114 @@ import (
 	"ellog/internal/logrec"
 	"ellog/internal/recovery"
 	"ellog/internal/sim"
+	"ellog/internal/statedb"
 	"ellog/internal/workload"
 )
 
-// buildSystem assembles n partitions, each driven by its own generator at
-// the paper workload scaled to perPartTPS.
-func buildSystem(t *testing.T, n int, perPartTPS float64, runtime sim.Time) (*System, []*workload.Generator, *sim.Engine) {
-	t.Helper()
-	eng := sim.NewEngine(3, 4)
-	sys, err := New(eng, n, core.Params{
-		Mode: core.ModeEphemeral, GenSizes: []int{20, 16}, Recirculate: true,
-	}, core.FlushConfig{Drives: 10, Transfer: 25 * sim.Millisecond, NumObjects: 1_000_000})
-	if err != nil {
+// paperShards is a shared-nothing run of n shards, each at the paper
+// workload scaled to perShardTPS over its own million objects.
+func paperShards(n int, perShardTPS float64, runtime sim.Time) PDESConfig {
+	return PDESConfig{
+		Seed:   3,
+		Shards: n,
+		LM: core.Params{
+			Mode: core.ModeEphemeral, GenSizes: []int{20, 16}, Recirculate: true,
+		},
+		Flush: core.FlushConfig{Drives: 10, Transfer: 25 * sim.Millisecond, NumObjects: 1_000_000},
+		Workload: workload.Config{
+			Mix:         workload.PaperMix(0.05),
+			ArrivalRate: perShardTPS,
+			Runtime:     runtime,
+		},
+	}
+}
+
+// TestOIDTranslationRoundTrip checks the one coordinate rule — local oid o
+// of shard s is global oid s*width+o — and that lifting a recovered state
+// refuses an oid its shard cannot own.
+func TestOIDTranslationRoundTrip(t *testing.T) {
+	const width = 100
+	for s := 0; s < 3; s++ {
+		for o := logrec.OID(0); o < width; o += 7 {
+			g := globalOID(s, width, o)
+			if uint64(g)/width != uint64(s) || logrec.OID(uint64(g)%width) != o {
+				t.Fatalf("shard %d local %d -> global %d", s, o, g)
+			}
+		}
+	}
+	rec := statedb.New()
+	rec.ForceSet(5, statedb.Version{LSN: 1})
+	out := statedb.New()
+	if err := lift(out, rec, 2, width); err != nil {
 		t.Fatal(err)
 	}
-	var gens []*workload.Generator
-	for i := 0; i < n; i++ {
-		sink, err := sys.Sink(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := workload.New(eng, sink, workload.Config{
-			Mix:         workload.PaperMix(0.05),
-			ArrivalRate: perPartTPS,
-			Runtime:     runtime,
-			NumObjects:  1_000_000,
-			OIDBase:     uint64(i) * 1_000_000,
-			TidBase:     uint64(i) << 32,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.Start()
-		gens = append(gens, g)
+	if v, ok := out.Get(205); !ok || v.LSN != 1 || out.Len() != 1 {
+		t.Fatalf("shard 2's object 5 did not land at global 205: %+v, %v", v, ok)
 	}
-	return sys, gens, eng
+	rec.ForceSet(width, statedb.Version{LSN: 2})
+	if err := lift(statedb.New(), rec, 2, width); err == nil {
+		t.Fatal("local oid beyond the shard's range lifted")
+	}
 }
 
 func TestPartitionsRunIndependently(t *testing.T) {
-	sys, gens, eng := buildSystem(t, 4, 100, 30*sim.Second)
-	eng.Run(30 * sim.Second)
-	if sys.Insufficient() {
-		t.Fatalf("system insufficient: %+v", sys.Stats())
+	live, st, err := RunPDES(paperShards(4, 100, 30*sim.Second))
+	if err != nil {
+		t.Fatal(err)
 	}
-	st := sys.Stats()
-	// Four partitions at 100 TPS each: aggregate bandwidth ~4x one log's.
+	if live.Insufficient() {
+		t.Fatalf("system insufficient: %v", st)
+	}
+	// Four shards at 100 TPS each: aggregate bandwidth ~4x one log's.
 	if st.Bandwidth < 45 || st.Bandwidth > 60 {
 		t.Fatalf("aggregate bandwidth %.1f, want ~4x12.7", st.Bandwidth)
 	}
 	total := uint64(0)
-	for i, g := range gens {
-		ws := g.Stats()
+	for i, s := range live.Shards {
+		ws := s.Gen.Stats()
 		if ws.Started != 3000 {
-			t.Fatalf("partition %d started %d, want 3000", i, ws.Started)
+			t.Fatalf("shard %d started %d, want 3000", i, ws.Started)
 		}
 		if ws.Killed != 0 {
-			t.Fatalf("partition %d killed %d", i, ws.Killed)
+			t.Fatalf("shard %d killed %d", i, ws.Killed)
 		}
 		total += ws.Committed
+		// No invariant violations anywhere.
+		if err := s.Setup.LM.CheckInvariants(); err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
 	}
 	if total < 11000 {
-		t.Fatalf("only %d commits across 4 partitions", total)
+		t.Fatalf("only %d commits across 4 shards", total)
 	}
-	// No invariant violations anywhere.
-	for i := 0; i < sys.Partitions(); i++ {
-		if err := sys.Partition(i).LM.CheckInvariants(); err != nil {
-			t.Fatalf("partition %d: %v", i, err)
-		}
+	if st.Delivered != 0 {
+		t.Fatalf("shared-nothing run exchanged %d cross-LP events", st.Delivered)
 	}
 }
 
 func TestGlobalCrashRecovery(t *testing.T) {
-	sys, gens, eng := buildSystem(t, 4, 100, 60*sim.Second)
-	eng.Run(37 * sim.Second) // crash the whole machine at once
+	live, err := BuildPDES(paperShards(4, 100, 60*sim.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	live.PE.Run(37 * sim.Second) // crash the whole machine at once
 
-	merged, report, err := sys.RecoverAll(0)
+	merged, report, err := RecoverAll(live.Setups(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(report.Per) != 4 {
-		t.Fatalf("%d partition recoveries", len(report.Per))
+		t.Fatalf("%d shard recoveries", len(report.Per))
 	}
-	// Global oracle = union of the per-partition oracles (disjoint oid
-	// ranges guarantee no conflicts).
-	oracle := make(map[logrec.OID]logrec.LSN)
-	for _, g := range gens {
-		for oid, lsn := range g.Oracle() {
-			oracle[oid] = lsn
-		}
-	}
+	oracle := live.Oracle()
 	if len(oracle) == 0 {
 		t.Fatal("empty oracle")
 	}
 	if err := recovery.VerifyOracle(merged, oracle); err != nil {
 		t.Fatal(err)
 	}
-	// Parallel recovery time = slowest partition, about one partition's
-	// log; total blocks read is ~4x that.
+	// Parallel recovery time = slowest shard, about one shard's log; total
+	// blocks read is ~4x that.
 	totalRead := 0
 	for _, r := range report.Per {
 		totalRead += r.BlocksRead
@@ -120,110 +131,59 @@ func TestGlobalCrashRecovery(t *testing.T) {
 	}
 }
 
+// TestKillIsolation gives shard 0 a hopeless budget and the others a
+// generous one. Kills must stay confined to shard 0 — no global
+// synchronization means no global fallout. The uneven shards are built by
+// hand from the parts BuildPDES uses, since BuildPDES sizes every shard
+// alike.
 func TestKillIsolation(t *testing.T) {
-	// Partition 0 gets a hopeless budget; the others are generous. Kills
-	// must stay confined to partition 0 — no global synchronization means
-	// no global fallout.
-	eng := sim.NewEngine(9, 10)
-	mk := func(sizes []int) *core.Setup {
-		s, err := core.NewSetup(eng, core.Params{
-			Mode: core.ModeEphemeral, GenSizes: sizes, Recirculate: true,
-		}, core.FlushConfig{Drives: 10, Transfer: 25 * sim.Millisecond, NumObjects: 1_000_000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	sys := &System{eng: eng, objectsPerPart: 1_000_000, totalObjects: 3_000_000}
-	sys.parts = []*core.Setup{mk([]int{5, 4}), mk([]int{20, 16}), mk([]int{20, 16})}
+	const width = 1_000_000
+	pe := sim.NewParallelEngine(9, 10, 3, 15*sim.Millisecond, 1)
+	var parts []*core.Setup
 	var gens []*workload.Generator
-	for i := 0; i < 3; i++ {
-		sink, err := sys.Sink(i)
+	for i, sizes := range [][]int{{5, 4}, {20, 16}, {20, 16}} {
+		lp := pe.LP(i)
+		s, err := core.NewSetup(lp.Engine, core.Params{
+			Mode: core.ModeEphemeral, GenSizes: sizes, Recirculate: true,
+		}, core.FlushConfig{Drives: 10, Transfer: 25 * sim.Millisecond, NumObjects: width})
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := workload.New(eng, sink, workload.Config{
+		g, err := workload.New(lp.Engine, s.LM, workload.Config{
 			Mix:         workload.PaperMix(0.05),
 			ArrivalRate: 100,
 			Runtime:     30 * sim.Second,
-			NumObjects:  1_000_000,
-			OIDBase:     uint64(i) * 1_000_000,
+			NumObjects:  width,
 			TidBase:     uint64(i) << 32,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		g.Start()
+		parts = append(parts, s)
 		gens = append(gens, g)
 	}
-	eng.Run(30 * sim.Second)
+	pe.Run(30 * sim.Second)
 	if gens[0].Stats().Killed == 0 {
-		t.Fatal("starved partition killed nothing — test premise broken")
+		t.Fatal("starved shard killed nothing — test premise broken")
 	}
 	for i := 1; i < 3; i++ {
 		if gens[i].Stats().Killed != 0 {
-			t.Fatalf("kills leaked into healthy partition %d", i)
+			t.Fatalf("kills leaked into healthy shard %d", i)
 		}
 	}
 	// And recovery of the whole machine is still exact.
-	merged, _, err := sys.RecoverAll(0)
+	merged, _, err := RecoverAll(parts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	oracle := make(map[logrec.OID]logrec.LSN)
-	for _, g := range gens {
+	for i, g := range gens {
 		for oid, lsn := range g.Oracle() {
-			oracle[oid] = lsn
+			oracle[globalOID(i, width, oid)] = lsn
 		}
 	}
 	if err := recovery.VerifyOracle(merged, oracle); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRoutingGuards(t *testing.T) {
-	eng := sim.NewEngine(1, 2)
-	sys, err := New(eng, 2, core.Params{Mode: core.ModeEphemeral, GenSizes: []int{8, 8}},
-		core.FlushConfig{Drives: 2, Transfer: 10 * sim.Millisecond, NumObjects: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.OwnerOf(500) != 0 || sys.OwnerOf(1500) != 1 {
-		t.Fatal("owner mapping wrong")
-	}
-	if _, err := sys.Sink(2); err == nil {
-		t.Fatal("out-of-range sink accepted")
-	}
-	if _, err := sys.Sink(-1); err == nil {
-		t.Fatal("negative sink accepted")
-	}
-	if sys.OwnerOf(2000) != -1 {
-		t.Fatal("oid beyond the last shard should have no owner")
-	}
-	sink, err := sys.Sink(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink.BeginHinted(1, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("foreign-object write did not panic")
-		}
-	}()
-	sink.WriteData(1, 1500, 100) // belongs to partition 1
-}
-
-func TestNewValidation(t *testing.T) {
-	eng := sim.NewEngine(1, 2)
-	if _, err := New(eng, 0, core.Params{}, core.FlushConfig{}); err == nil {
-		t.Fatal("zero partitions accepted")
-	}
-	if _, err := New(eng, 2, core.Params{Mode: core.ModeEphemeral, GenSizes: []int{8, 8}},
-		core.FlushConfig{Drives: 2, Transfer: 10 * sim.Millisecond, NumObjects: 0}); err == nil {
-		t.Fatal("zero-width object range accepted (OwnerOf would divide by zero)")
-	}
-	if _, err := New(eng, 2, core.Params{Mode: core.ModeFirewall, GenSizes: []int{4, 4}},
-		core.FlushConfig{Drives: 1, Transfer: sim.Millisecond, NumObjects: 100}); err == nil {
-		t.Fatal("invalid params accepted")
 	}
 }

@@ -1,4 +1,4 @@
-// PDES binding: the sharded system on the parallel engine.
+// PDES binding: the only way to build a sharded run.
 //
 // BuildPDES maps every shard onto one logical process of a
 // sim.ParallelEngine: the shard's log device, flush array, stable database,
@@ -67,15 +67,14 @@ type PDESConfig struct {
 	Flush     core.FlushConfig // per shard: own drives, own object range
 	// Workload is the per-shard traffic template. Mix, Runtime, Epsilon,
 	// Hints and Arrival apply as given; ArrivalRate is the per-shard total
-	// (local + cross). NumObjects, OIDBase, TidBase, NumShards and
-	// CrossShardFrac are overridden by the binding — each LP's generator
-	// works in its shard's local object coordinates with an LP-strided tid
-	// base, and cross-shard traffic is the overlay's job, not the
-	// generator's.
+	// (local + cross), so the machine runs Shards × ArrivalRate. NumObjects
+	// and TidBase are overridden by the binding — each LP's generator works
+	// in its shard's local object coordinates with an LP-strided tid base.
 	Workload workload.Config
-	// CrossFrac in [0, 1) is the fraction of each shard's arrival rate
-	// initiated as cross-shard two-branch 2PC transactions by the overlay.
-	// Zero runs pure shared-nothing traffic with no cross-LP events at all.
+	// CrossFrac in [0, 1) is the fraction of each shard's arrivals
+	// initiated as cross-shard two-branch 2PC transactions by the overlay;
+	// the local generator keeps the rest. Zero runs pure shared-nothing
+	// traffic with no cross-LP events at all.
 	CrossFrac float64
 }
 
@@ -92,9 +91,6 @@ type ShardLP struct {
 	sink  *lpSink
 	cross *crossArm // nil when CrossFrac == 0
 }
-
-// Cross returns the shard's 2PC overlay arm, or nil in base mode.
-func (s *ShardLP) Cross() *crossArm { return s.cross }
 
 // PDESLive is an assembled parallel run.
 type PDESLive struct {
@@ -121,6 +117,9 @@ func BuildPDES(cfg PDESConfig) (*PDESLive, error) {
 	}
 	if cfg.CrossFrac < 0 || cfg.CrossFrac >= 1 {
 		return nil, fmt.Errorf("multilog: pdes cross fraction %v outside [0,1) — some local traffic must remain", cfg.CrossFrac)
+	}
+	if cfg.Flush.NumObjects == 0 {
+		return nil, fmt.Errorf("multilog: pdes shard object range must be positive")
 	}
 	if cfg.CrossFrac > 0 && cfg.Shards < 2 {
 		return nil, fmt.Errorf("multilog: pdes cross fraction %v needs at least 2 shards, have %d", cfg.CrossFrac, cfg.Shards)
@@ -156,10 +155,7 @@ func BuildPDES(cfg PDESConfig) (*PDESLive, error) {
 		sink := &lpSink{lm: setup.LM}
 		wcfg := cfg.Workload
 		wcfg.NumObjects = genObjects
-		wcfg.OIDBase = 0
 		wcfg.TidBase = uint64(i) * pdesTidStride
-		wcfg.NumShards = 0
-		wcfg.CrossShardFrac = 0
 		wcfg.ArrivalRate = cfg.Workload.ArrivalRate * (1 - cfg.CrossFrac)
 		gen, err := workload.New(lp.Engine, sink, wcfg)
 		if err != nil {
@@ -257,10 +253,10 @@ type PDESStats struct {
 	TotalWrites uint64
 	Bandwidth   float64
 	Killed      uint64
-	// MemPeakBound sums the per-shard memory peaks. Unlike System.Stats,
-	// whose partitions share one engine and can maintain a combined gauge,
-	// LPs may not touch shared state mid-window — so the true simultaneous
-	// peak is unobservable and this upper bound is reported instead.
+	// MemPeakBound sums the per-shard memory peaks. LPs may not touch
+	// shared state mid-window, so the true simultaneous peak — shards peak
+	// at different times — is unobservable and this upper bound is
+	// reported instead.
 	MemPeakBound float64
 
 	// Local (generator) traffic, aggregated across shards. Latency moments
@@ -310,7 +306,7 @@ func (pl *PDESLive) Stats() PDESStats {
 		for name, n := range ws.PerType {
 			st.PerType[name] += n
 		}
-		s.Gen.MergeLatencies(&e2e, nil, nil)
+		s.Gen.MergeLatencies(&e2e)
 
 		if s.cross != nil {
 			st.CrossStarted += s.cross.started.Count()
@@ -335,6 +331,60 @@ func (pl *PDESLive) Insufficient() bool {
 		}
 	}
 	return false
+}
+
+// Setups lists the shards' components in LP order: the input of
+// RecoverAll and RecoverShard.
+func (pl *PDESLive) Setups() []*core.Setup {
+	parts := make([]*core.Setup, len(pl.Shards))
+	for i, s := range pl.Shards {
+		parts[i] = s.Setup
+	}
+	return parts
+}
+
+// Oracle joins every shard's committed writes — its generator's oracle and
+// both branches of every acknowledged overlay transaction — into the
+// latest committed LSN per object, in global coordinates. It reads every
+// LP, so call it only between Run calls.
+func (pl *PDESLive) Oracle() map[logrec.OID]logrec.LSN {
+	width := pl.cfg.Flush.NumObjects
+	out := make(map[logrec.OID]logrec.LSN)
+	note := func(s int, oid logrec.OID, lsn logrec.LSN) {
+		g := globalOID(s, width, oid)
+		if out[g] < lsn {
+			out[g] = lsn
+		}
+	}
+	for i, s := range pl.Shards {
+		for oid, lsn := range s.Gen.Oracle() {
+			note(i, oid, lsn)
+		}
+		if s.cross == nil {
+			continue
+		}
+		for tid, remote := range s.cross.decided {
+			if w, ok := s.cross.wrote[tid]; ok {
+				note(i, w.oid, w.lsn)
+			}
+			if w, ok := pl.Shards[remote].cross.wrote[tid]; ok {
+				note(remote, w.oid, w.lsn)
+			}
+		}
+	}
+	return out
+}
+
+// Acked reports whether transaction tid was acknowledged: by its shard's
+// generator for a local transaction, by its home shard's durable DECIDE
+// for an overlay one. Like Oracle, call it only between Run calls.
+func (pl *PDESLive) Acked(tid logrec.TxID) bool {
+	s := pl.Shards[uint64(tid)/pdesTidStride]
+	if uint64(tid)%pdesTidStride < pdesCrossBit {
+		return s.Gen.TxInfo(tid).Acked
+	}
+	_, ok := s.cross.decided[tid]
+	return ok
 }
 
 // String renders a deterministic multi-line report: map-backed sections

@@ -1,12 +1,10 @@
-// Cross-shard 2PC over cross-LP messages.
+// Cross-shard 2PC over cross-LP messages: the system's one cross-shard
+// protocol.
 //
-// The classic Router (router.go) drives two-phase commit as synchronous
-// calls into several shards' managers — possible only because every shard
-// shares one engine. Under PDES the shards are logical processes that may
-// not touch each other's state, so the protocol becomes what it is on real
-// hardware: messages. Every step travels as an LP.Send carrying the
-// engine's lookahead as its delay, and each handler touches only the
-// receiving LP's components:
+// The shards are logical processes that may not touch each other's state,
+// so the protocol is what it is on real hardware: messages. Every step
+// travels as an LP.Send carrying the engine's lookahead as its delay, and
+// each handler touches only the receiving LP's components:
 //
 //	home LP                                  remote LP
 //	-------                                  ---------
@@ -29,6 +27,11 @@
 // presumed-abort indifference the recovery path relies on. Prepared
 // branches are unkillable (core), so a vote always finds its home branch
 // either alive or already counted aborted, never half-decided.
+//
+// For the recovery oracle each arm also keeps, LP-locally, what the
+// workload generator keeps for its own transactions: every branch's data
+// write (oid and LSN) and the homed transactions that were acknowledged.
+// PDESLive.Oracle joins them once the run has stopped.
 package multilog
 
 import (
@@ -43,21 +46,22 @@ import (
 
 // crossOut is the home (coordinator) half of one overlay transaction.
 type crossOut struct {
-	remote  int
-	began   sim.Time
-	oid     logrec.OID
-	haveOID bool
-	opened  bool // open message sent; a kill must chase it with an abort
-	killed  bool
-	decided bool
+	remote int
+	began  sim.Time
+	opened bool // open message sent; a kill must chase it with an abort
+	killed bool
 }
 
 // crossIn is the remote (participant) half.
 type crossIn struct {
-	home    int
-	oid     logrec.OID
-	haveOID bool
-	killed  bool
+	home   int
+	killed bool
+}
+
+// branchWrite is the one data record an overlay branch logged.
+type branchWrite struct {
+	oid logrec.OID
+	lsn logrec.LSN
 }
 
 // crossArm is one LP's end of the overlay: initiator for transactions
@@ -88,6 +92,12 @@ type crossArm struct {
 	out     map[logrec.TxID]*crossOut
 	in      map[logrec.TxID]*crossIn
 
+	// Oracle ledger, never pruned: each branch's write on this LP (home or
+	// remote — an LP holds at most one branch of a transaction), and each
+	// homed transaction whose DECIDE became durable, with its remote shard.
+	wrote   map[logrec.TxID]branchWrite
+	decided map[logrec.TxID]int
+
 	started, committed, aborted metrics.Counter
 	e2e                         metrics.Histogram
 }
@@ -111,6 +121,8 @@ func newCrossArm(lp *sim.LP, lm *core.Manager, self, n int, lookahead sim.Time, 
 		held:     make(map[logrec.OID]logrec.TxID),
 		out:      make(map[logrec.TxID]*crossOut),
 		in:       make(map[logrec.TxID]*crossIn),
+		wrote:    make(map[logrec.TxID]branchWrite),
+		decided:  make(map[logrec.TxID]int),
 	}
 }
 
@@ -169,15 +181,8 @@ func (a *crossArm) initiate() {
 	// transaction (dispatched synchronously through the sink demux), hence
 	// the killed re-checks.
 	a.lm.BeginHinted(tid, hint)
-	if tx.killed {
+	if tx.killed || !a.write(tid, typ.RecordSize, &tx.killed) {
 		return
-	}
-	if oid, ok := a.draw(tid); ok {
-		a.lm.WriteData(tid, oid, typ.RecordSize)
-		if tx.killed {
-			return
-		}
-		tx.oid, tx.haveOID = oid, true
 	}
 	tx.opened = true
 	r := a.peers[remote]
@@ -195,16 +200,29 @@ func (a *crossArm) open(home int, tid logrec.TxID, size int) {
 	br := &crossIn{home: home}
 	a.in[tid] = br
 	a.lm.BeginHinted(tid, 0)
-	if br.killed {
-		return
+	if !br.killed {
+		a.write(tid, size, &br.killed)
 	}
-	if oid, ok := a.draw(tid); ok {
-		a.lm.WriteData(tid, oid, size)
-		if br.killed {
-			return
-		}
-		br.oid, br.haveOID = oid, true
+}
+
+// write logs the branch's one data record on an object drawn from the
+// reserve and enters it in the oracle ledger. It reports false when the
+// append's space cascade killed the branch; the hold is then dropped, as
+// the generator drops a killed write's. A saturated reserve skips the
+// write (the branch still carries its BEGIN record) instead of spinning on
+// the rejection loop.
+func (a *crossArm) write(tid logrec.TxID, size int, killed *bool) bool {
+	if uint64(len(a.held)) >= a.reserve {
+		return true
 	}
+	oid := a.draw(tid)
+	lsn := a.lm.WriteData(tid, oid, size)
+	if *killed {
+		a.release(oid, tid)
+		return false
+	}
+	a.wrote[tid] = branchWrite{oid, lsn}
+	return true
 }
 
 // beginCommit fires on the home LP at t0+lifetime: ask the participant to
@@ -244,24 +262,21 @@ func (a *crossArm) vote(tid logrec.TxID) {
 	if tx == nil || tx.killed {
 		return
 	}
-	a.lm.DecideCommit(tid, 1, func() { a.decided(tid) })
+	a.lm.DecideCommit(tid, 1, func() { a.decide(tid) })
 }
 
-// decided runs on the home LP when the DECIDE record is durable: the
-// transaction is globally committed (the overlay's t4). Tell the
-// participant to resolve its in-doubt branch.
-func (a *crossArm) decided(tid logrec.TxID) {
+// decide runs on the home LP when the DECIDE record is durable: the
+// transaction is globally committed (the overlay's t4) and acknowledged.
+// Tell the participant to resolve its in-doubt branch.
+func (a *crossArm) decide(tid logrec.TxID) {
 	tx := a.out[tid]
-	if tx == nil || tx.decided {
+	if _, done := a.decided[tid]; tx == nil || done {
 		return
 	}
-	tx.decided = true
+	a.decided[tid] = tx.remote
 	a.committed.Inc()
 	a.e2e.Observe((a.lp.Now() - tx.began).Seconds())
-	if tx.haveOID {
-		a.release(tx.oid, tid)
-		tx.haveOID = false
-	}
+	a.release(a.wrote[tid].oid, tid)
 	r := a.peers[tx.remote]
 	home := a.self
 	a.lp.Send(tx.remote, a.d, func() { r.resolve(home, tid) })
@@ -271,17 +286,14 @@ func (a *crossArm) decided(tid logrec.TxID) {
 // branch; when every branch update has flushed the branch retires and the
 // coordinator's DECIDE pin is released.
 func (a *crossArm) resolve(home int, tid logrec.TxID) {
-	br := a.in[tid]
-	if br == nil {
+	if a.in[tid] == nil {
 		return // branch aborted under a crossing decision: cannot happen for commit, but stay indifferent
 	}
 	h := a.peers[home]
 	a.lm.ResolveCommit(tid, func() {
 		a.lp.Send(home, a.d, func() { h.unpin(tid) })
 	})
-	if br.haveOID {
-		a.release(br.oid, tid)
-	}
+	a.release(a.wrote[tid].oid, tid)
 	delete(a.in, tid)
 }
 
@@ -304,9 +316,7 @@ func (a *crossArm) abortBranch(tid logrec.TxID) {
 	}
 	br.killed = true
 	a.lm.ResolveAbort(tid)
-	if br.haveOID {
-		a.release(br.oid, tid)
-	}
+	a.release(a.wrote[tid].oid, tid)
 	delete(a.in, tid)
 }
 
@@ -323,10 +333,7 @@ func (a *crossArm) peerAborted(tid logrec.TxID) {
 	tx.killed = true
 	a.aborted.Inc()
 	a.lm.ResolveAbort(tid)
-	if tx.haveOID {
-		a.release(tx.oid, tid)
-		tx.haveOID = false
-	}
+	a.release(a.wrote[tid].oid, tid)
 	delete(a.out, tid)
 }
 
@@ -337,10 +344,7 @@ func (a *crossArm) killed(tid logrec.TxID) {
 	if tx, ok := a.out[tid]; ok { // home branch killed
 		tx.killed = true
 		a.aborted.Inc()
-		if tx.haveOID {
-			a.release(tx.oid, tid)
-			tx.haveOID = false
-		}
+		a.release(a.wrote[tid].oid, tid)
 		if tx.opened {
 			r := a.peers[tx.remote]
 			a.lp.Send(tx.remote, a.d, func() { r.abortBranch(tid) })
@@ -350,10 +354,7 @@ func (a *crossArm) killed(tid logrec.TxID) {
 	}
 	if br, ok := a.in[tid]; ok { // participant branch killed
 		br.killed = true
-		if br.haveOID {
-			a.release(br.oid, tid)
-			br.haveOID = false
-		}
+		a.release(a.wrote[tid].oid, tid)
 		h := a.peers[br.home]
 		a.lp.Send(br.home, a.d, func() { h.peerAborted(tid) })
 		delete(a.in, tid)
@@ -363,30 +364,22 @@ func (a *crossArm) killed(tid logrec.TxID) {
 	// to clean up.
 }
 
-// draw picks a free object from the reserve and records the hold. A
-// saturated reserve skips the write (the branch still carries its BEGIN
-// record) instead of spinning on the rejection loop.
-func (a *crossArm) draw(tid logrec.TxID) (logrec.OID, bool) {
-	if uint64(len(a.held)) >= a.reserve {
-		return 0, false
-	}
+// draw picks a free object from the reserve, which the caller has checked
+// is not saturated, and records the hold.
+func (a *crossArm) draw(tid logrec.TxID) logrec.OID {
 	for {
 		oid := logrec.OID(a.base + a.lp.Rand().Uint64N(a.reserve))
 		if _, taken := a.held[oid]; !taken {
 			a.held[oid] = tid
-			return oid, true
+			return oid
 		}
 	}
 }
 
-// release drops a hold if tid still owns it.
+// release drops a hold if tid still owns it. A branch that wrote nothing
+// passes the zero oid, which it cannot own.
 func (a *crossArm) release(oid logrec.OID, tid logrec.TxID) {
 	if a.held[oid] == tid {
 		delete(a.held, oid)
 	}
 }
-
-// Started, Committed and Aborted expose the overlay counters for tests.
-func (a *crossArm) Started() uint64   { return a.started.Count() }
-func (a *crossArm) Committed() uint64 { return a.committed.Count() }
-func (a *crossArm) Aborted() uint64   { return a.aborted.Count() }

@@ -1,17 +1,23 @@
 package multilog
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"ellog/internal/core"
 	"ellog/internal/harness"
+	"ellog/internal/logrec"
+	"ellog/internal/recovery"
 	"ellog/internal/sim"
 	"ellog/internal/workload"
 )
 
-// smallPDES mirrors smallSharded at PDES scale: a few simulated seconds,
-// a thousand objects per shard, quick group commit so blocks seal.
+// smallPDES is a deliberately small sharded run: a few simulated seconds,
+// a thousand objects per shard, and quick group commit so blocks seal —
+// with the load split across shards, pure group commit would leave most of
+// the run in unsealed blocks and crash sweeps with almost no durable
+// instants to crash at.
 func smallPDES(shards, workers int, crossFrac float64, seed uint64) PDESConfig {
 	return PDESConfig{
 		Seed:    seed,
@@ -36,7 +42,8 @@ func smallPDES(shards, workers int, crossFrac float64, seed uint64) PDESConfig {
 
 // TestPDESWorkerInvariance is the CI determinism matrix in miniature: the
 // full model (base and xshard configs) run under every worker count must
-// produce byte-identical reports to the 1-worker sequential reference.
+// produce byte-identical reports — the whole-machine recovery of the end
+// state, 2PC resolution included — to the 1-worker sequential reference.
 func TestPDESWorkerInvariance(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -45,12 +52,20 @@ func TestPDESWorkerInvariance(t *testing.T) {
 		{"base", 0},
 		{"xshard", 0.25},
 	}
+	run := func(t *testing.T, workers int, crossFrac float64) (PDESStats, string) {
+		live, st, err := RunPDES(smallPDES(4, workers, crossFrac, 12345))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, report, err := RecoverAll(live.Setups(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, fmt.Sprintf("%+v", report)
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, ref, err := RunPDES(smallPDES(4, 1, tc.crossFrac, 12345))
-			if err != nil {
-				t.Fatal(err)
-			}
+			ref, refRecovery := run(t, 1, tc.crossFrac)
 			if ref.Events == 0 || ref.Committed == 0 {
 				t.Fatalf("vacuous reference run: %+v", ref)
 			}
@@ -58,15 +73,15 @@ func TestPDESWorkerInvariance(t *testing.T) {
 				t.Fatal("xshard run produced no cross-LP events")
 			}
 			for _, workers := range []int{2, 4, 8} {
-				_, got, err := RunPDES(smallPDES(4, workers, tc.crossFrac, 12345))
-				if err != nil {
-					t.Fatal(err)
-				}
+				got, gotRecovery := run(t, workers, tc.crossFrac)
 				if !reflect.DeepEqual(got, ref) {
 					t.Fatalf("workers=%d stats diverged from sequential reference:\nref: %+v\ngot: %+v", workers, ref, got)
 				}
 				if got.String() != ref.String() {
 					t.Fatalf("workers=%d report text diverged:\nref:\n%s\ngot:\n%s", workers, ref, got)
+				}
+				if gotRecovery != refRecovery {
+					t.Fatalf("workers=%d recovery diverged:\nref: %s\ngot: %s", workers, refRecovery, gotRecovery)
 				}
 			}
 		})
@@ -106,8 +121,9 @@ func TestPDESSingleShardReducesToHarness(t *testing.T) {
 }
 
 // TestPDESCrossCommitsAndRecovers drains an xshard run and checks the 2PC
-// overlay's accounting, the managers' internal invariants, and that each
-// shard's crash image recovers to exactly the acknowledged local commits.
+// overlay's accounting, the managers' internal invariants, and that the
+// whole machine's crash image recovers to exactly the acknowledged
+// commits, both branches of every cross-shard one included.
 func TestPDESCrossCommitsAndRecovers(t *testing.T) {
 	live, err := BuildPDES(smallPDES(3, 2, 0.3, 7))
 	if err != nil {
@@ -140,10 +156,33 @@ func TestPDESCrossCommitsAndRecovers(t *testing.T) {
 	}
 	for _, s := range live.Shards {
 		c := s.cross
-		if c.Started() != c.Committed()+c.Aborted() {
+		if c.started.Count() != c.committed.Count()+c.aborted.Count() {
 			t.Fatalf("shard %d overlay accounting: started %d != committed %d + aborted %d",
-				s.LP.Index(), c.Started(), c.Committed(), c.Aborted())
+				s.LP.Index(), c.started.Count(), c.committed.Count(), c.aborted.Count())
 		}
+	}
+
+	// Crash the drained machine and recover it whole.
+	oracle := live.Oracle()
+	const width = 1000
+	crossWrites := 0
+	for oid := range oracle {
+		if uint64(oid)%width >= width-width/pdesReserveDiv {
+			crossWrites++
+		}
+	}
+	if crossWrites == 0 {
+		t.Fatal("joined oracle holds no cross-shard write — nothing to verify")
+	}
+	merged, report, err := RecoverAll(live.Setups(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(report.Per) != 3 {
+		t.Fatalf("%d shard recoveries", len(report.Per))
+	}
+	if err := recovery.VerifyOracle(merged, oracle); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -198,5 +237,97 @@ func TestPDESConfigValidation(t *testing.T) {
 		if _, err := BuildPDES(cfg); err == nil {
 			t.Errorf("case %d: config accepted, want error", i)
 		}
+	}
+}
+
+// TestNewValidation covers the machine-shape rejections: no shards, a
+// zero-width object range (the global-oid rule would map every shard onto
+// one range) and per-shard manager params that core rejects.
+func TestNewValidation(t *testing.T) {
+	bad := map[string]func(*PDESConfig){
+		"no shards":         func(c *PDESConfig) { c.Shards = 0 },
+		"zero-width range":  func(c *PDESConfig) { c.Flush.NumObjects = 0 },
+		"invalid LM params": func(c *PDESConfig) { c.LM = core.Params{Mode: core.ModeFirewall, GenSizes: []int{4, 4}} },
+	}
+	for name, mutate := range bad {
+		cfg := smallPDES(2, 1, 0, 1)
+		mutate(&cfg)
+		if _, err := BuildPDES(cfg); err == nil {
+			t.Errorf("%s: config accepted, want error", name)
+		}
+	}
+}
+
+// TestShardedRunCommitsCrossShard drains an xshard run and cross-checks
+// the two records of a distributed commit: the home arms' commit counters
+// against their oracle ledgers. Every decided transaction must be
+// acknowledged and must have logged one write on each of its two shards.
+func TestShardedRunCommitsCrossShard(t *testing.T) {
+	live, err := BuildPDES(smallPDES(3, 2, 0.3, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	live.Run()
+	live.PE.Run(live.PE.LP(0).Now() + 30*sim.Second) // drain in-flight transactions
+	st := live.Stats()
+	if st.Committed == 0 || st.CrossCommitted == 0 {
+		t.Fatalf("no local or no distributed commits: %+v", st)
+	}
+	var decided uint64
+	for _, s := range live.Shards {
+		if err := s.Setup.LM.CheckInvariants(); err != nil {
+			t.Fatalf("shard %d: %v", s.LP.Index(), err)
+		}
+		home := s.LP.Index()
+		decided += uint64(len(s.cross.decided))
+		for tid, remote := range s.cross.decided {
+			if remote == home {
+				t.Fatalf("tx %d homed on shard %d decided with itself as remote", tid, home)
+			}
+			if !live.Acked(tid) {
+				t.Fatalf("decided tx %d not acknowledged", tid)
+			}
+			if _, ok := s.cross.wrote[tid]; !ok {
+				t.Fatalf("decided tx %d has no home branch write on shard %d", tid, home)
+			}
+			if _, ok := live.Shards[remote].cross.wrote[tid]; !ok {
+				t.Fatalf("decided tx %d has no remote branch write on shard %d", tid, remote)
+			}
+		}
+	}
+	if decided != st.CrossCommitted {
+		t.Fatalf("ledgers hold %d decided transactions, counters %d commits", decided, st.CrossCommitted)
+	}
+}
+
+// TestShardedByteIdentical re-runs one parallel xshard configuration and
+// demands identical results — stats, report text, joined oracle and
+// whole-machine recovery — the determinism contract at a fixed worker
+// count, 2PC messages included.
+func TestShardedByteIdentical(t *testing.T) {
+	type result struct {
+		stats    PDESStats
+		report   string
+		oracle   map[logrec.OID]logrec.LSN
+		recovery string
+	}
+	run := func() result {
+		live, st, err := RunPDES(smallPDES(3, 4, 0.3, 7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, report, err := RecoverAll(live.Setups(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return result{st, st.String(), live.Oracle(), fmt.Sprintf("%+v", report)}
+	}
+	a, b := run(), run()
+	if len(a.oracle) == 0 {
+		t.Fatal("vacuous run: empty oracle")
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("two runs of the same sharded config diverged:\n--- first\n%s%s\n--- second\n%s%s",
+			a.report, a.recovery, b.report, b.recovery)
 	}
 }

@@ -98,24 +98,10 @@ type Config struct {
 	Epsilon     sim.Time // defaults to 1 ms
 	Hints       bool     // pass expected lifetimes to the LM (section 6 extension)
 	Arrival     Arrival  // initiation process (default: the paper's deterministic)
-	// OIDBase offsets every drawn oid: partition p of a shared-nothing
-	// system gives its generator base p*NumObjects so the partitions'
-	// object ranges are disjoint (multilog).
-	OIDBase uint64
-	// TidBase offsets transaction identifiers the same way.
+	// TidBase offsets transaction identifiers: shard p of a sharded run
+	// gives its generator a disjoint base so tids are globally unique
+	// (multilog).
 	TidBase uint64
-	// NumShards > 1 turns on shard-aware object draws against a sharded
-	// system (multilog.Router): the object space [OIDBase, OIDBase+
-	// NumObjects) is split into NumShards equal ranges, each transaction
-	// gets a home shard, and its oids are drawn from its shards' ranges.
-	// Zero or one means the classic unsharded draw — and makes exactly the
-	// same Rand calls as before the knob existed, so unsharded runs stay
-	// byte-identical.
-	NumShards int
-	// CrossShardFrac is the fraction of transactions (among those writing
-	// at least two records) that draw oids from two shards instead of one,
-	// exercising the router's two-phase commit. Requires NumShards >= 2.
-	CrossShardFrac float64
 }
 
 // LogManager is the interface the generator drives; *core.Manager and the
@@ -133,19 +119,9 @@ type Stats struct {
 	Committed uint64 // durably committed (acknowledged)
 	Killed    uint64
 	PerType   map[string]uint64 // started per type
-	// EndToEnd is t4-t0: lifetime plus group-commit delay. All committed
-	// transactions, local and cross-shard alike.
+	// EndToEnd is t4-t0: lifetime plus group-commit delay.
 	EndToEndMean float64
 	EndToEndP99  float64
-	// Sharded runs split the latency by commit path: a local transaction
-	// pays one group-commit delay, a cross-shard one pays prepare
-	// durability on every participant plus the coordinator's decision.
-	CrossStarted      uint64
-	CrossCommitted    uint64
-	LocalEndToEndMean float64
-	LocalEndToEndP99  float64
-	CrossEndToEndMean float64
-	CrossEndToEndP99  float64
 }
 
 // txRun is one transaction in progress. Runs are recycled: a finished run
@@ -158,8 +134,6 @@ type txRun struct {
 	killed       bool
 	commitIssued bool // COMMIT record handed to the log manager
 	durable      bool // group-commit acknowledgement received (t4)
-	cross        bool // draws oids from two shards (2PC on commit)
-	home, remote int  // shard assignment (equal unless cross)
 	began        sim.Time
 	issued       int // data-record events fired so far
 	writes       []write
@@ -213,11 +187,9 @@ type Generator struct {
 	held    map[logrec.OID]logrec.TxID
 	oracle  map[logrec.OID]logrec.LSN
 
-	started, committed, killed   metrics.Counter
-	crossStarted, crossCommitted metrics.Counter
-	perType                      map[string]uint64
-	endToEnd                     metrics.Histogram
-	localE2E, crossE2E           metrics.Histogram
+	started, committed, killed metrics.Counter
+	perType                    map[string]uint64
+	endToEnd                   metrics.Histogram
 
 	onArrival func() // g.arrival, bound once: a method value allocates per use
 
@@ -239,15 +211,6 @@ func New(eng sim.Source, lm LogManager, cfg Config) (*Generator, error) {
 	}
 	if cfg.Epsilon == 0 {
 		cfg.Epsilon = DefaultEpsilon
-	}
-	if cfg.CrossShardFrac < 0 || cfg.CrossShardFrac > 1 {
-		return nil, fmt.Errorf("workload: cross-shard fraction %v outside [0,1]", cfg.CrossShardFrac)
-	}
-	if cfg.CrossShardFrac > 0 && cfg.NumShards < 2 {
-		return nil, fmt.Errorf("workload: cross-shard fraction %v needs at least 2 shards, have %d", cfg.CrossShardFrac, cfg.NumShards)
-	}
-	if cfg.NumShards > 1 && cfg.NumObjects%uint64(cfg.NumShards) != 0 {
-		return nil, fmt.Errorf("workload: %d objects do not split evenly over %d shards", cfg.NumObjects, cfg.NumShards)
 	}
 	for _, t := range cfg.Mix {
 		if t.Lifetime <= cfg.Epsilon {
@@ -306,20 +269,6 @@ func (g *Generator) initiate() {
 	tid := logrec.TxID(g.cfg.TidBase) + g.nextTid
 	run := g.newRun()
 	run.tid, run.typ, run.began = tid, typ, g.eng.Now()
-	if g.cfg.NumShards > 1 {
-		run.home = int(g.eng.Rand().Uint64N(uint64(g.cfg.NumShards)))
-		run.remote = run.home
-		if g.cfg.CrossShardFrac > 0 && typ.NumRecords >= 2 &&
-			g.eng.Rand().Float64() < g.cfg.CrossShardFrac {
-			run.cross = true
-			// A distinct second shard, uniform over the others.
-			run.remote = int(g.eng.Rand().Uint64N(uint64(g.cfg.NumShards - 1)))
-			if run.remote >= run.home {
-				run.remote++
-			}
-			g.crossStarted.Inc()
-		}
-	}
 	g.txs[tid] = run
 	g.fates = append(g.fates, 0)
 	g.started.Inc()
@@ -366,42 +315,11 @@ func (g *Generator) finish(run *txRun, recycle bool) {
 	}
 }
 
-// recordShard decides which shard transaction run's j-th record writes
-// to. A cross-shard transaction's first record goes to the home shard
-// (making it the coordinator) and its second to the remote shard (so at
-// least two shards are always enlisted); further records flip a coin.
-func (g *Generator) recordShard(run *txRun, j int) int {
-	if !run.cross {
-		return run.home
-	}
-	switch j {
-	case 1:
-		return run.home
-	case 2:
-		return run.remote
-	default:
-		if g.eng.Rand().Float64() < 0.5 {
-			return run.remote
-		}
-		return run.home
-	}
-}
-
 // drawOID picks an object not currently updated by any active
-// transaction — from the whole space in unsharded runs (the classic
-// draw, bit-for-bit), or from the given shard's range.
-func (g *Generator) drawOID(shard int) logrec.OID {
-	if g.cfg.NumShards <= 1 {
-		for {
-			oid := logrec.OID(g.cfg.OIDBase + g.eng.Rand().Uint64N(g.cfg.NumObjects))
-			if _, taken := g.held[oid]; !taken {
-				return oid
-			}
-		}
-	}
-	per := g.cfg.NumObjects / uint64(g.cfg.NumShards)
+// transaction.
+func (g *Generator) drawOID() logrec.OID {
 	for {
-		oid := logrec.OID(g.cfg.OIDBase + uint64(shard)*per + g.eng.Rand().Uint64N(per))
+		oid := logrec.OID(g.eng.Rand().Uint64N(g.cfg.NumObjects))
 		if _, taken := g.held[oid]; !taken {
 			return oid
 		}
@@ -413,7 +331,7 @@ func (g *Generator) writeRecord(run *txRun) {
 	if run.killed {
 		return
 	}
-	oid := g.drawOID(g.recordShard(run, run.issued))
+	oid := g.drawOID()
 	g.held[oid] = run.tid
 	lsn := g.lm.WriteData(run.tid, oid, run.typ.RecordSize)
 	if run.killed {
@@ -440,14 +358,7 @@ func (g *Generator) commit(run *txRun) {
 func (g *Generator) acked(run *txRun) {
 	run.durable = true
 	g.committed.Inc()
-	e2e := (g.eng.Now() - run.began).Seconds()
-	g.endToEnd.Observe(e2e)
-	if run.cross {
-		g.crossCommitted.Inc()
-		g.crossE2E.Observe(e2e)
-	} else {
-		g.localE2E.Observe(e2e)
-	}
+	g.endToEnd.Observe((g.eng.Now() - run.began).Seconds())
 	for _, w := range run.writes {
 		if g.oracle[w.oid] < w.lsn {
 			g.oracle[w.oid] = w.lsn
@@ -494,36 +405,22 @@ func (g *Generator) Stats() Stats {
 		per[k] = v
 	}
 	return Stats{
-		Started:           g.started.Count(),
-		Committed:         g.committed.Count(),
-		Killed:            g.killed.Count(),
-		PerType:           per,
-		EndToEndMean:      g.endToEnd.Mean(),
-		EndToEndP99:       g.endToEnd.Quantile(0.99),
-		CrossStarted:      g.crossStarted.Count(),
-		CrossCommitted:    g.crossCommitted.Count(),
-		LocalEndToEndMean: g.localE2E.Mean(),
-		LocalEndToEndP99:  g.localE2E.Quantile(0.99),
-		CrossEndToEndMean: g.crossE2E.Mean(),
-		CrossEndToEndP99:  g.crossE2E.Quantile(0.99),
+		Started:      g.started.Count(),
+		Committed:    g.committed.Count(),
+		Killed:       g.killed.Count(),
+		PerType:      per,
+		EndToEndMean: g.endToEnd.Mean(),
+		EndToEndP99:  g.endToEnd.Quantile(0.99),
 	}
 }
 
 // MergeLatencies merges the generator's end-to-end latency samples into
-// the given histograms (any may be nil to skip that slot). Quantiles of
-// separate generators cannot be combined after the fact, so aggregators
-// spanning several generators — the PDES binding runs one per logical
-// process — merge the raw samples and compute global statistics once.
-func (g *Generator) MergeLatencies(all, local, cross *metrics.Histogram) {
-	if all != nil {
-		all.Merge(&g.endToEnd)
-	}
-	if local != nil {
-		local.Merge(&g.localE2E)
-	}
-	if cross != nil {
-		cross.Merge(&g.crossE2E)
-	}
+// all. Quantiles of separate generators cannot be combined after the fact,
+// so aggregators spanning several generators — the PDES binding runs one
+// per logical process — merge the raw samples and compute global
+// statistics once.
+func (g *Generator) MergeLatencies(all *metrics.Histogram) {
+	all.Merge(&g.endToEnd)
 }
 
 // Oracle returns the latest durably committed LSN per object — ground
