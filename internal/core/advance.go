@@ -34,7 +34,7 @@ func (m *Manager) advanceHead(g *generation) bool {
 		m.forwardBatch(g, s, cells)
 		return true
 	}
-	if m.p.Mode == ModeFirewall || !m.p.Recirculate {
+	if !m.p.Recirculate {
 		return m.clearLastHead(g)
 	}
 	m.recirculateHead(g, s, cells)
@@ -53,35 +53,25 @@ func (m *Manager) forwardBatch(g *generation, s *slot, cells []*cell) {
 	m.usedGauges[g.idx].Set(m.now(), float64(g.used))
 	target := g.idx + 1
 	for _, c := range cells {
-		m.appendTail(target, c, s)
-		m.forwardedRecs.Inc()
-		g.epochOut++
+		m.move(g, c, s, target)
 	}
 	// Top off the outgoing buffer from the blocks now at the head, freeing
-	// any block drained completely.
+	// any block drained completely. The head cell is read afresh for every
+	// move: a hybrid move regenerates further records, which can fill the
+	// buffer and set off a cascade that kills transactions in g.
 	tg := m.gens[target]
-	buf := m.takeCells()
-	defer func() { m.putCells(buf) }()
+topOff:
 	for m.tailFree(tg) > 0 && g.used > 0 {
 		s2 := g.headSlot()
 		if s2.state != slotDurable {
 			break
 		}
-		cs := g.list.oldestInSlot(s2, buf)
-		buf = cs
-		moved := 0
-		for _, c := range cs {
+		for c := g.list.oldest(); c != nil && c.slot == s2; c = g.list.oldest() {
 			if c.rec.Size > m.tailFree(tg) {
-				break
+				break topOff // buffer cannot take the block's next record
 			}
 			g.list.remove(c)
-			m.appendTail(target, c, s2)
-			m.forwardedRecs.Inc()
-			g.epochOut++
-			moved++
-		}
-		if moved < len(cs) {
-			break // buffer cannot take the block's next record
+			m.move(g, c, s2, target)
 		}
 		g.freeHeadSlot()
 		m.usedGauges[g.idx].Set(m.now(), float64(g.used))
@@ -101,10 +91,71 @@ func (m *Manager) recirculateHead(g *generation, s *slot, cells []*cell) {
 	g.freeHeadSlot()
 	m.usedGauges[g.idx].Set(m.now(), float64(g.used))
 	for _, c := range cells {
-		m.appendTail(g.idx, c, s)
-		m.recircRecs.Inc()
+		m.move(g, c, s, g.idx)
 	}
 	m.emit(trace.Event{Kind: trace.EvRecirculate, Gen: g.idx, N: len(cells)})
+}
+
+// move appends c, already taken off g's list, from block origin to the tail
+// of generation target: forwarding when target is older than g,
+// recirculation when it is g. Under ModeHybrid the rest of c's transaction
+// follows it (regenerate).
+func (m *Manager) move(g *generation, c *cell, origin *slot, target int) {
+	tx := c.tx // c may die and be recycled inside appendTail
+	m.appendTail(target, c, origin)
+	m.countMove(g, target)
+	if m.p.Mode == ModeHybrid {
+		m.regenerate(g, tx, target)
+	}
+}
+
+// countMove counts one record moved out of g's head region to target.
+func (m *Manager) countMove(g *generation, target int) {
+	if target == g.idx {
+		m.recircRecs.Inc()
+		return
+	}
+	m.forwardedRecs.Inc()
+	g.epochOut++
+}
+
+// regenerate is the hybrid's forwarding rule. Its LM keeps a pointer to
+// only the oldest record of each transaction, so when one of tx's records
+// leaves generation g, "all of its log records must be regenerated and
+// added to the tail of the next queue" (section 6): every other record of
+// tx with a durable copy in g moves to the same tail, data records in
+// ascending oid order and then the tx record. Only non-garbage records are
+// rewritten; recovery never reads a garbage copy. Records still in an
+// unwritten or in-flight buffer stay: they sit at a tail already and move
+// when they reach a head. All of them leave g's list before the first is
+// appended, so a cascade that kills tx or flushes its updates meanwhile
+// finds them detached and marks them dead (unlink), and appendTail drops
+// them. A retired entry has no cells left, so a tx that retired inside
+// the caller's append has nothing to regenerate.
+func (m *Manager) regenerate(g *generation, tx *lttEntry, target int) {
+	cs := m.takeCells()
+	for c := tx.cells; c != nil; c = c.txNext {
+		if durableIn(c, g) {
+			cs = append(cs, c)
+		}
+	}
+	if durableIn(tx.txCell, g) {
+		cs = append(cs, tx.txCell)
+	}
+	for _, c := range cs {
+		g.list.remove(c)
+	}
+	for _, c := range cs {
+		m.appendTail(target, c, c.slot)
+		m.countMove(g, target)
+	}
+	m.putCells(cs)
+}
+
+// durableIn reports whether c is listed in generation g with its record in
+// a durable block there.
+func durableIn(c *cell, g *generation) bool {
+	return c != nil && c.inList && c.gen == g.idx && c.slot != nil && c.slot.state == slotDurable
 }
 
 // clearLastHead handles a non-garbage record reaching the head of the last
@@ -112,9 +163,10 @@ func (m *Manager) recirculateHead(g *generation, s *slot, cells []*cell) {
 // FW discipline and the paper's recirculation-off EL experiments), a
 // committed-but-unflushed update is force flushed (random I/O), and a
 // committed transaction's tx record is resolved by flushing its remaining
-// updates. Records of committing (not yet durable) transactions cannot be
-// resolved synchronously, in which case the head stays put and the caller
-// falls back to other victims.
+// updates. The hybrid resolves a transaction whole, so a committed update
+// there flushes all of its transaction's. Records of committing (not yet
+// durable) transactions cannot be resolved synchronously, in which case the
+// head stays put and the caller falls back to other victims.
 func (m *Manager) clearLastHead(g *generation) bool {
 	s := g.headSlot()
 	buf := m.takeCells()
@@ -129,6 +181,8 @@ func (m *Manager) clearLastHead(g *generation) bool {
 		}
 		c := cs[0]
 		switch {
+		case c.rec.Kind == logrec.KindData && c.committed && m.p.Mode == ModeHybrid:
+			m.forceFlushTx(c.tx)
 		case c.rec.Kind == logrec.KindData && c.committed:
 			m.forceFlushCell(c)
 		case c.rec.Kind == logrec.KindData || c.rec.Kind == logrec.KindBegin:

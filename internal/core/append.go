@@ -10,13 +10,13 @@ import (
 )
 
 // usesPend reports whether generation g appends through the lazy, slotless
-// pending buffer. That is the recirculating last generation of an EL
-// manager: its tail receives recirculated records ("placed in a buffer
+// pending buffer. That is a recirculating last generation (FW never
+// recirculates): its tail receives recirculated records ("placed in a buffer
 // without immediately writing it to disk", section 2.2) interleaved with
 // forwarded ones, and sharing a single buffer keeps cell-list order equal
 // to block order — the property the h_i head test relies on.
 func (m *Manager) usesPend(g *generation) bool {
-	return g.idx == m.lastGen() && m.p.Mode == ModeEphemeral && m.p.Recirculate
+	return g.idx == m.lastGen() && m.p.Recirculate
 }
 
 // appendTail adds a record (via its cell) to generation gi's tail. origin
@@ -330,21 +330,16 @@ func (m *Manager) claimGuarded(g *generation) *slot {
 		}
 		m.ensureSpace(g)
 		s := g.ring[g.tail]
-		if s.refugees == 0 {
+		// A slot with refugees still holds the only durable copies of
+		// records sitting in an unwritten buffer. If every one of them rides
+		// in this generation's pending buffer — the buffer sealPend, the
+		// only caller that has one, is about to write — that buffer may take
+		// this very slot: the old bytes stay durable until the (atomic)
+		// write completes, and the new copy supersedes them.
+		if s.refugees == 0 || (g.pend != nil && originsIn(g.pend, s) == s.refugees) {
 			claimed := g.claimSlot()
 			m.usedGauges[g.idx].Set(m.now(), float64(g.used))
 			return claimed
-		}
-		// The slot still holds the only durable copies of records sitting
-		// in an unwritten buffer. If that buffer is this generation's
-		// pending buffer, write it into this very slot: the old bytes stay
-		// durable until the (atomic) write completes, and the new copy
-		// supersedes them.
-		if g.pend != nil && bufferHasOrigin(g.pend, s) {
-			claimed := g.claimSlot()
-			m.usedGauges[g.idx].Set(m.now(), float64(g.used))
-			m.writePend(g, claimed)
-			continue
 		}
 		// Refugees ride in an in-flight buffer; the write completes within
 		// tau_DiskWrite but an event-driven claim cannot wait. Insert an
@@ -356,13 +351,15 @@ func (m *Manager) claimGuarded(g *generation) *slot {
 	}
 }
 
-func bufferHasOrigin(b *buffer, s *slot) bool {
+// originsIn counts the records in b drained out of slot s.
+func originsIn(b *buffer, s *slot) int {
+	n := 0
 	for _, o := range b.origins {
 		if o == s {
-			return true
+			n++
 		}
 	}
-	return false
+	return n
 }
 
 // ensureSpace advances the head of g until at least ThresholdK+1 slots are

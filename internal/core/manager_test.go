@@ -65,7 +65,7 @@ func TestParamsDefaults(t *testing.T) {
 }
 
 func TestModeString(t *testing.T) {
-	if ModeEphemeral.String() != "EL" || ModeFirewall.String() != "FW" {
+	if ModeEphemeral.String() != "EL" || ModeFirewall.String() != "FW" || ModeHybrid.String() != "hybrid" {
 		t.Fatal("mode names wrong")
 	}
 }
@@ -361,55 +361,105 @@ func TestRecirculationKeepsLongTransactionAlive(t *testing.T) {
 	// 20 ms), so committed-but-unflushed records back up, get forwarded
 	// into generation 1 and drive its head around the ring — recirculating
 	// the long transaction's records instead of killing it.
-	s := testSetup(t, Params{
-		Mode: ModeEphemeral, GenSizes: []int{4, 5},
-		BlockPayload: 100, Recirculate: true,
-	}, FlushConfig{Drives: 1, Transfer: 25 * sim.Millisecond, NumObjects: 1000})
-	m := s.LM
-	killed := false
-	m.SetKillHandler(func(logrec.TxID) { killed = true })
-	m.Begin(1)
-	m.WriteData(1, 7, 84)
-	// Push plenty of short-lived traffic through both generations; the
-	// long transaction's record must recirculate in generation 1.
-	churn(s, 100, 120, 84, 20*sim.Millisecond)
-	st := m.Stats()
-	if st.Recirculated == 0 {
-		t.Fatalf("nothing recirculated: %+v", st)
+	for _, mode := range []Mode{ModeEphemeral, ModeHybrid} {
+		t.Run(mode.String(), func(t *testing.T) {
+			s := testSetup(t, Params{
+				Mode: mode, GenSizes: []int{4, 5},
+				BlockPayload: 100, Recirculate: true,
+			}, FlushConfig{Drives: 1, Transfer: 25 * sim.Millisecond, NumObjects: 1000})
+			m := s.LM
+			killed := false
+			m.SetKillHandler(func(logrec.TxID) { killed = true })
+			m.Begin(1)
+			m.WriteData(1, 7, 84)
+			// Push plenty of short-lived traffic through both generations; the
+			// long transaction's record must recirculate in generation 1.
+			churn(s, 100, 120, 84, 20*sim.Millisecond)
+			st := m.Stats()
+			if st.Recirculated == 0 {
+				t.Fatalf("nothing recirculated: %+v", st)
+			}
+			if killed || st.Killed != 0 {
+				t.Fatalf("long transaction killed despite recirculation: %+v", st)
+			}
+			assertInv(t, m)
+			committed := false
+			m.Commit(1, func() { committed = true })
+			m.Quiesce()
+			s.Eng.Run(s.Eng.Now() + 5*sim.Second)
+			if !committed {
+				t.Fatal("long transaction failed to commit")
+			}
+			if v, ok := m.DB().Get(7); !ok || v.Val == 0 {
+				t.Fatalf("long transaction's update missing from DB: %+v %v", v, ok)
+			}
+			assertInv(t, m)
+		})
 	}
-	if killed || st.Killed != 0 {
-		t.Fatalf("long transaction killed despite recirculation: %+v", st)
-	}
-	assertInv(t, m)
-	committed := false
-	m.Commit(1, func() { committed = true })
-	m.Quiesce()
-	s.Eng.Run(s.Eng.Now() + 5*sim.Second)
-	if !committed {
-		t.Fatal("long transaction failed to commit")
-	}
-	if v, ok := m.DB().Get(7); !ok || v.Val == 0 {
-		t.Fatalf("long transaction's update missing from DB: %+v %v", v, ok)
-	}
-	assertInv(t, m)
 }
 
 func TestRecirculationOffKillsLongTransaction(t *testing.T) {
-	s := testSetup(t, Params{
-		Mode: ModeEphemeral, GenSizes: []int{4, 4},
-		BlockPayload: 100, Recirculate: false,
-	}, FlushConfig{Drives: 1, Transfer: 25 * sim.Millisecond, NumObjects: 1000})
-	m := s.LM
-	var killedTid logrec.TxID
-	m.SetKillHandler(func(tid logrec.TxID) { killedTid = tid })
-	m.Begin(1)
-	m.WriteData(1, 7, 84)
-	churn(s, 100, 120, 84, 20*sim.Millisecond)
-	if killedTid != 1 {
-		t.Fatalf("long transaction not killed (killed=%d); stats: %+v", killedTid, m.Stats())
+	for _, mode := range []Mode{ModeEphemeral, ModeHybrid} {
+		t.Run(mode.String(), func(t *testing.T) {
+			s := testSetup(t, Params{
+				Mode: mode, GenSizes: []int{4, 4},
+				BlockPayload: 100, Recirculate: false,
+			}, FlushConfig{Drives: 1, Transfer: 25 * sim.Millisecond, NumObjects: 1000})
+			m := s.LM
+			var killedTid logrec.TxID
+			m.SetKillHandler(func(tid logrec.TxID) { killedTid = tid })
+			m.Begin(1)
+			m.WriteData(1, 7, 84)
+			churn(s, 100, 120, 84, 20*sim.Millisecond)
+			if killedTid != 1 {
+				t.Fatalf("long transaction not killed (killed=%d); stats: %+v", killedTid, m.Stats())
+			}
+			if m.Stats().Killed != 1 {
+				t.Fatalf("kill count %d, want 1", m.Stats().Killed)
+			}
+			assertInv(t, m)
+		})
 	}
-	if m.Stats().Killed != 1 {
-		t.Fatalf("kill count %d, want 1", m.Stats().Killed)
+}
+
+// TestHybridRegeneratesLongTransaction: when the head of generation 0
+// reaches a long transaction's oldest record, its BEGIN and both data
+// records leave generation 0 together, at one instant, although the second
+// update sits in a later block. The transaction survives the promotion and
+// commits afterwards.
+func TestHybridRegeneratesLongTransaction(t *testing.T) {
+	s := testSetup(t, Params{
+		Mode: ModeHybrid, GenSizes: []int{5, 8},
+		BlockPayload: 100, GroupCommitTimeout: 100 * sim.Millisecond,
+	})
+	m := s.LM
+	var moves []trace.Event
+	m.SetTracer(trace.Func(func(e trace.Event) {
+		if e.Kind == trace.EvMove && e.Tx == 1 && e.Gen == 0 {
+			moves = append(moves, e)
+		}
+	}))
+	killed := false
+	m.SetKillHandler(func(tid logrec.TxID) { killed = killed || tid == 1 })
+	m.Begin(1)
+	m.WriteData(1, 7, 60)
+	s.Eng.Run(50 * sim.Millisecond)
+	m.WriteData(1, 8, 60) // does not fit beside BEGIN and the first update
+	s.Eng.Run(100 * sim.Millisecond)
+	churn(s, 100, 60, 84, 20*sim.Millisecond)
+	if len(moves) != 3 || moves[0].At != moves[2].At {
+		t.Fatalf("want BEGIN and two updates out of generation 0 at one instant, got %+v", moves)
+	}
+	if killed {
+		t.Fatalf("long transaction killed with ample generation-1 space: %+v", m.Stats())
+	}
+	assertInv(t, m)
+	done := false
+	m.Commit(1, func() { done = true })
+	churn(s, 500, 30, 84, 20*sim.Millisecond)
+	s.Eng.Run(s.Eng.Now() + 5*sim.Second)
+	if !done {
+		t.Fatal("long transaction failed to commit after promotion")
 	}
 	assertInv(t, m)
 }
@@ -495,6 +545,62 @@ func TestEphemeralMemoryModel(t *testing.T) {
 	assertInv(t, m)
 }
 
+// TestHybridResolvesLastHeadWhole: with recirculation off, a committed
+// transaction whose update reaches the last head has all three of its
+// unflushed updates force flushed at that instant, where EL flushes each
+// as its own record arrives.
+func TestHybridResolvesLastHeadWhole(t *testing.T) {
+	for _, mode := range []Mode{ModeEphemeral, ModeHybrid} {
+		s := testSetup(t, Params{Mode: mode, GenSizes: []int{4, 4}, BlockPayload: 100},
+			FlushConfig{Drives: 1, Transfer: 10 * sim.Second, NumObjects: 1000})
+		m := s.LM
+		var forced []sim.Time
+		m.SetTracer(trace.Func(func(e trace.Event) {
+			if e.Kind == trace.EvForceFlush && e.Obj >= 7 && e.Obj <= 9 {
+				forced = append(forced, e.At)
+			}
+		}))
+		m.Begin(1)
+		for oid := logrec.OID(7); oid <= 9; oid++ {
+			m.WriteData(1, oid, 84) // one block each
+			s.Eng.Run(s.Eng.Now() + 20*sim.Millisecond)
+		}
+		m.Commit(1, nil)
+		churn(s, 100, 60, 84, 20*sim.Millisecond)
+		whole := len(forced) == 3 && forced[0] == forced[2]
+		if len(forced) != 3 || whole != (mode == ModeHybrid) {
+			t.Fatalf("%v: tx 1's updates force flushed at %v", mode, forced)
+		}
+		assertInv(t, m)
+	}
+}
+
+// TestHybridMemoryModel: the hybrid charges MemPerTxHybrid per LTT entry
+// and nothing per object. Two transactions overlap once — the second
+// begins before the first's commit is durable — so the peak is exactly two
+// entries; the first then retires with its update flushed.
+func TestHybridMemoryModel(t *testing.T) {
+	s := testSetup(t, Params{Mode: ModeHybrid, GenSizes: []int{8, 8}, BlockPayload: 100})
+	m := s.LM
+	m.Begin(1)
+	lsn := m.WriteData(1, 7, 84)
+	m.Commit(1, nil)
+	m.Begin(2)
+	m.WriteData(2, 8, 84)
+	s.Eng.Run(sim.Second)
+	if v, ok := m.DB().Get(7); !ok || v.LSN != lsn {
+		t.Fatalf("flushed version %+v %v, want LSN %d", v, ok, lsn)
+	}
+	st := m.Stats()
+	if st.LTTEntries != 1 || st.MemBytes != MemPerTxHybrid {
+		t.Fatalf("%d LTT entries, %v B, want tx 2 alone at %d B", st.LTTEntries, st.MemBytes, MemPerTxHybrid)
+	}
+	if st.MemPeakBytes != 2*MemPerTxHybrid {
+		t.Fatalf("mem peak %v, want %d", st.MemPeakBytes, 2*MemPerTxHybrid)
+	}
+	assertInv(t, m)
+}
+
 func TestBeginOfDuplicateTidPanics(t *testing.T) {
 	s := testSetup(t, Params{Mode: ModeEphemeral, GenSizes: []int{8, 8}})
 	s.LM.Begin(1)
@@ -530,32 +636,36 @@ func TestOversizeRecordPanics(t *testing.T) {
 }
 
 func TestLifetimeHintPlacement(t *testing.T) {
-	s := testSetup(t, Params{
-		Mode: ModeEphemeral, GenSizes: []int{8, 8},
-		Recirculate:        true,
-		HintBoundaries:     []sim.Time{2 * sim.Second},
-		GroupCommitTimeout: 50 * sim.Millisecond,
-	})
-	m := s.LM
-	m.BeginHinted(1, 10*sim.Second) // long: starts in generation 1
-	m.WriteData(1, 7, 100)
-	m.BeginHinted(2, sim.Second) // short: generation 0
-	m.WriteData(2, 8, 100)
-	st := m.Stats()
-	if st.Gens[1].Cells != 2 { // BEGIN + data of tx 1
-		t.Fatalf("gen 1 cells = %d, want 2 (hinted tx records)", st.Gens[1].Cells)
+	for _, mode := range []Mode{ModeEphemeral, ModeHybrid} {
+		t.Run(mode.String(), func(t *testing.T) {
+			s := testSetup(t, Params{
+				Mode: mode, GenSizes: []int{8, 8},
+				Recirculate:        true,
+				HintBoundaries:     []sim.Time{2 * sim.Second},
+				GroupCommitTimeout: 50 * sim.Millisecond,
+			})
+			m := s.LM
+			m.BeginHinted(1, 10*sim.Second) // long: starts in generation 1
+			m.WriteData(1, 7, 100)
+			m.BeginHinted(2, sim.Second) // short: generation 0
+			m.WriteData(2, 8, 100)
+			st := m.Stats()
+			if st.Gens[1].Cells != 2 { // BEGIN + data of tx 1
+				t.Fatalf("gen 1 cells = %d, want 2 (hinted tx records)", st.Gens[1].Cells)
+			}
+			if st.Gens[0].Cells != 2 {
+				t.Fatalf("gen 0 cells = %d, want 2", st.Gens[0].Cells)
+			}
+			done := 0
+			m.Commit(1, func() { done++ })
+			m.Commit(2, func() { done++ })
+			s.Eng.Run(sim.Second)
+			if done != 2 {
+				t.Fatalf("hinted transactions durable: %d, want 2 (group-commit timeout)", done)
+			}
+			assertInv(t, m)
+		})
 	}
-	if st.Gens[0].Cells != 2 {
-		t.Fatalf("gen 0 cells = %d, want 2", st.Gens[0].Cells)
-	}
-	done := 0
-	m.Commit(1, func() { done++ })
-	m.Commit(2, func() { done++ })
-	s.Eng.Run(sim.Second)
-	if done != 2 {
-		t.Fatalf("hinted transactions durable: %d, want 2 (group-commit timeout)", done)
-	}
-	assertInv(t, m)
 }
 
 func TestStatsString(t *testing.T) {

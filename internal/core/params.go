@@ -1,7 +1,8 @@
 // Package core implements the paper's primary contribution: the ephemeral
 // logging (EL) disk-management technique for a database log (section 2),
 // plus the traditional firewall (FW) technique it is evaluated against
-// (section 4 simulates FW "by using a single log with no recirculation").
+// (section 4 simulates FW "by using a single log with no recirculation"),
+// and the EL-FW hybrid section 6 sketches (ModeHybrid).
 //
 // EL manages the log as a chain of fixed-size queues called generations,
 // each a circular array of disk blocks. New records enter the tail of
@@ -37,6 +38,15 @@ const (
 	// overhead — a committed transaction's records become garbage as soon
 	// as the commit is durable — which favours FW.
 	ModeFirewall
+	// ModeHybrid is the EL-FW hybrid of section 6: EL's chain of queues,
+	// but the LM "retains a pointer to only the oldest log record from
+	// each transaction". It is EL plus two rules. Memory is charged per
+	// transaction only (MemPerTxHybrid, no LOT charge). When head advance
+	// moves a record out of a generation, every other record its
+	// transaction has there with a durable copy moves to the same tail
+	// (Manager.regenerate); with recirculation off, a transaction reaching
+	// the last head is resolved whole.
+	ModeHybrid
 )
 
 // String names the mode.
@@ -46,6 +56,8 @@ func (m Mode) String() string {
 		return "EL"
 	case ModeFirewall:
 		return "FW"
+	case ModeHybrid:
+		return "hybrid"
 	default:
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
@@ -75,6 +87,11 @@ const (
 	// MemPerObjEL is the paper's estimate of EL main memory per updated
 	// but unflushed object (LOT entry).
 	MemPerObjEL = 40
+	// MemPerTxHybrid is the hybrid's main memory per transaction: FW's
+	// entry with its pointer to the oldest record, plus the index of the
+	// generation holding that record. The hybrid keeps no per-object
+	// entries.
+	MemPerTxHybrid = 24
 )
 
 // Params configures a Manager.
@@ -84,7 +101,7 @@ type Params struct {
 	// GenSizes gives each generation's capacity in blocks, youngest first.
 	// FW uses exactly one generation.
 	GenSizes []int
-	// Recirculate enables recirculation in the last generation (EL only).
+	// Recirculate enables recirculation in the last generation (not FW).
 	// When off, a still-needed record reaching the last head kills its
 	// transaction (if active) or forces a random flush (if committed).
 	Recirculate bool
@@ -101,7 +118,7 @@ type Params struct {
 	// WriteLatency is the block write transfer time (default 15 ms).
 	WriteLatency sim.Time
 	// MemPerTx and MemPerObj set the main-memory accounting model
-	// (EL: 40/40; FW: 22/0).
+	// (EL: 40/40; FW: 22/0; hybrid: 24/0).
 	MemPerTx  int
 	MemPerObj int
 	// GroupCommitTimeout, when positive, bounds how long a buffer holding
@@ -154,13 +171,16 @@ func (p Params) WithDefaults() Params {
 		p.WriteLatency = DefaultWriteLatency
 	}
 	if p.MemPerTx == 0 {
-		if p.Mode == ModeFirewall {
+		switch p.Mode {
+		case ModeFirewall:
 			p.MemPerTx = MemPerTxFW
-		} else {
+		case ModeHybrid:
+			p.MemPerTx = MemPerTxHybrid
+		default:
 			p.MemPerTx = MemPerTxEL
 		}
 	}
-	if p.MemPerObj == 0 && p.Mode == ModeEphemeral {
+	if p.MemPerObj == 0 && p.Mode == ModeEphemeral { // FW and the hybrid charge no LOT memory
 		p.MemPerObj = MemPerObjEL
 	}
 	return p

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"ellog/internal/logrec"
@@ -231,6 +232,38 @@ func TestSoakEphemeralThreeGenerations(t *testing.T) {
 			payload: 250, txCount: 250, maxWrites: 2,
 			abortEvery: 12, transfer: 10 * sim.Millisecond,
 		})
+	}
+}
+
+// hybridSoak is the EL-FW hybrid under the same randomized traffic, with
+// and without a recirculating last generation.
+func hybridSoak(seed uint64, recirc bool) soakConfig {
+	return soakConfig{
+		seed: seed, mode: ModeHybrid,
+		genSizes: []int{6, 8}, recirc: recirc,
+		payload: 300, txCount: 300, maxWrites: 3,
+		abortEvery: 8, transfer: 10 * sim.Millisecond,
+	}
+}
+
+func TestSoakHybridRecirc(t *testing.T) {
+	for seed := uint64(60); seed <= 64; seed++ {
+		runSoak(t, hybridSoak(seed, true))
+	}
+}
+
+func TestSoakHybridNoRecirc(t *testing.T) {
+	for seed := uint64(65); seed <= 69; seed++ {
+		runSoak(t, hybridSoak(seed, false))
+	}
+}
+
+// TestHybridDeterminism: two hybrid runs with the same seed end in
+// identical Stats.
+func TestHybridDeterminism(t *testing.T) {
+	a, b := runSoak(t, hybridSoak(61, true)), runSoak(t, hybridSoak(61, true))
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("hybrid runs diverged:\n%+v\n%+v", a, b)
 	}
 }
 

@@ -84,6 +84,7 @@ var txPathModes = []struct {
 }{
 	{"EL", Params{Mode: ModeEphemeral, GenSizes: []int{18, 16}, Recirculate: true}},
 	{"FW", Params{Mode: ModeFirewall, GenSizes: []int{64}}},
+	{"hybrid", Params{Mode: ModeHybrid, GenSizes: []int{18, 16}, Recirculate: true}},
 }
 
 // TestTxPathAllocBudget: a transaction in steady state allocates nothing in

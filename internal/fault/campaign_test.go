@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ellog/internal/harness"
 	"ellog/internal/runner"
 	"ellog/internal/trace"
 )
@@ -45,6 +46,28 @@ func TestCampaignPropertyHolds(t *testing.T) {
 	}
 	if !res.Passed() {
 		t.Fatalf("recovery property violated:\n%v", res)
+	}
+}
+
+// The hybrid is crash-recoverable: the property holds at every crash point
+// of a run whose head advance regenerates long transactions into the last
+// generation.
+func TestCampaignHybridPropertyHolds(t *testing.T) {
+	base := hybridBase(campaignBase(23))
+	base.LM.GenSizes = []int{4, 8}
+	ref, err := harness.Run(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.LM.Forwarded == 0 {
+		t.Fatalf("nothing forwarded; the campaign would not exercise regeneration:\n%s", ref.LM)
+	}
+	res, err := RunCampaign(CampaignConfig{Base: base}, runner.New(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Clean == 0 || res.Torn == 0 || !res.Passed() {
+		t.Fatalf("hybrid recovery property violated:\n%v", res)
 	}
 }
 

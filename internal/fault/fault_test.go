@@ -133,6 +133,18 @@ func campaignBase(seed uint64) harness.Config {
 	return cfg
 }
 
+// hybridBase runs base on the EL-FW hybrid with a long transaction type
+// whose records are still live when generation 0 wraps, so head advance
+// regenerates them into generation 1.
+func hybridBase(base harness.Config) harness.Config {
+	base.LM.Mode = core.ModeHybrid
+	base.Workload.Mix = workload.Mix{
+		{Name: "t", Prob: 0.8, Lifetime: 300 * sim.Millisecond, NumRecords: 2, RecordSize: 100},
+		{Name: "long", Prob: 0.2, Lifetime: 1500 * sim.Millisecond, NumRecords: 4, RecordSize: 100},
+	}
+	return base
+}
+
 // A chaos run under transient write failures completes, injects and
 // retries faults, keeps the manager's invariants, and — once drained — the
 // crash image still recovers exactly the acknowledged commits: retry
@@ -178,6 +190,35 @@ func TestChaosRunWriteFailuresKeepAckedCommits(t *testing.T) {
 	}
 	if live.Gen.Stats().Committed == 0 {
 		t.Fatal("no transaction survived the chaos run; test has no power")
+	}
+	if err := recovery.VerifyOracle(recovered, live.Gen.Oracle()); err != nil {
+		t.Fatalf("acked commit lost under write-failure chaos: %v", err)
+	}
+}
+
+// The hybrid under the same write-failure chaos: the run drains with its
+// invariants whole, and recovery returns exactly the acknowledged commits.
+func TestChaosHybridWriteFailuresKeepAckedCommits(t *testing.T) {
+	live, err := harness.Build(hybridBase(chaosBase(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := Attach(live.Setup, Config{Seed: 3, WriteFailProb: 0.25, CorruptProb: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live.Setup.Eng.Run(time30())
+	ls := live.Setup.LM.Stats()
+	if plan.Stats().WriteFails == 0 || ls.Forwarded == 0 || live.Gen.Stats().Committed == 0 {
+		t.Fatalf("chaos without power: %d writes failed, %d records forwarded, %d commits",
+			plan.Stats().WriteFails, ls.Forwarded, live.Gen.Stats().Committed)
+	}
+	if err := live.Setup.LM.CheckInvariants(); err != nil {
+		t.Fatalf("invariants violated after chaos: %v", err)
+	}
+	recovered, _, err := recovery.Recover(live.Setup.Dev, live.Setup.DB, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := recovery.VerifyOracle(recovered, live.Gen.Oracle()); err != nil {
 		t.Fatalf("acked commit lost under write-failure chaos: %v", err)

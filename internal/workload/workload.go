@@ -104,8 +104,8 @@ type Config struct {
 	TidBase uint64
 }
 
-// LogManager is the interface the generator drives; *core.Manager and the
-// hybrid manager satisfy it.
+// LogManager is the interface the generator drives. *core.Manager satisfies
+// it in every mode, and multilog's per-shard 2PC overlay wraps one.
 type LogManager interface {
 	BeginHinted(tid logrec.TxID, expected sim.Time)
 	WriteData(tid logrec.TxID, oid logrec.OID, size int) logrec.LSN
