@@ -71,6 +71,7 @@ func (m *Manager) GrowGeneration(i, n int) {
 	if i < 0 || i >= len(m.gens) || n <= 0 {
 		panic(fmt.Sprintf("core: GrowGeneration(%d, %d) out of range", i, n))
 	}
+	defer m.leave(m.enter())
 	m.gens[i].grow(m.dev, n)
 	m.emit(trace.Event{Kind: trace.EvResize, Gen: i, N: n})
 }
@@ -83,6 +84,7 @@ func (m *Manager) ShrinkGeneration(i, n int) int {
 	if i < 0 || i >= len(m.gens) || n <= 0 {
 		panic(fmt.Sprintf("core: ShrinkGeneration(%d, %d) out of range", i, n))
 	}
+	defer m.leave(m.enter())
 	got := m.gens[i].shrink(n, m.p.ThresholdK)
 	if got > 0 {
 		m.emit(trace.Event{Kind: trace.EvResize, Gen: i, N: -got})

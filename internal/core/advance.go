@@ -26,7 +26,7 @@ func (m *Manager) advanceHead(g *generation) bool {
 		// Every record in the head block is garbage: conceptually thrown
 		// in the garbage pail, physically just passed over.
 		g.freeHeadSlot()
-		m.usedGauges[g.idx].Set(m.now(), float64(g.used))
+		m.usedGauges[g.idx].Set(m.at, float64(g.used))
 		m.emit(trace.Event{Kind: trace.EvDiscard, Gen: g.idx})
 		return true
 	}
@@ -50,7 +50,7 @@ func (m *Manager) forwardBatch(g *generation, s *slot, cells []*cell) {
 		g.list.remove(c)
 	}
 	g.freeHeadSlot()
-	m.usedGauges[g.idx].Set(m.now(), float64(g.used))
+	m.usedGauges[g.idx].Set(m.at, float64(g.used))
 	target := g.idx + 1
 	for _, c := range cells {
 		m.move(g, c, s, target)
@@ -74,7 +74,7 @@ topOff:
 			m.move(g, c, s2, target)
 		}
 		g.freeHeadSlot()
-		m.usedGauges[g.idx].Set(m.now(), float64(g.used))
+		m.usedGauges[g.idx].Set(m.at, float64(g.used))
 	}
 	m.emit(trace.Event{Kind: trace.EvForward, Gen: g.idx, N: len(cells)})
 	// Forwarded records must be immediately written to disk.
@@ -89,7 +89,7 @@ func (m *Manager) recirculateHead(g *generation, s *slot, cells []*cell) {
 		g.list.remove(c)
 	}
 	g.freeHeadSlot()
-	m.usedGauges[g.idx].Set(m.now(), float64(g.used))
+	m.usedGauges[g.idx].Set(m.at, float64(g.used))
 	for _, c := range cells {
 		m.move(g, c, s, g.idx)
 	}
@@ -176,7 +176,7 @@ func (m *Manager) clearLastHead(g *generation) bool {
 		buf = cs
 		if len(cs) == 0 {
 			g.freeHeadSlot()
-			m.usedGauges[g.idx].Set(m.now(), float64(g.used))
+			m.usedGauges[g.idx].Set(m.at, float64(g.used))
 			return true
 		}
 		c := cs[0]

@@ -44,7 +44,7 @@ func (m *Manager) appendTail(gi int, c *cell, origin *slot) {
 		}
 		if g.pend == nil {
 			m.takeToken(g)
-			g.pend = m.newBuffer(nil)
+			g.pend = m.newBuffer(g, nil)
 		}
 		b = g.pend
 	} else {
@@ -73,7 +73,7 @@ func (m *Manager) appendTail(gi int, c *cell, origin *slot) {
 	c.buf = b
 	src := c.gen
 	c.gen = gi
-	c.arrived = m.now()
+	c.arrived = m.at
 	g.epochIn++
 	g.list.pushNewest(c)
 	if origin != nil {
@@ -93,30 +93,45 @@ func (m *Manager) appendTail(gi int, c *cell, origin *slot) {
 		// and DECIDE acknowledge a commit, PREPARE completes a participant
 		// branch's vote.
 		b.commits = append(b.commits, c.tx)
-		m.armGroupCommitTimeout(g, b)
+		if len(b.commits) == 1 {
+			m.armGroupCommitTimeout(b)
+		}
 	}
 }
 
 // armGroupCommitTimeout bounds how long a COMMIT may wait for its buffer
 // to fill (disabled, per the paper, unless Params.GroupCommitTimeout > 0).
-// The timeout remembers the buffer's epoch: buffers are pooled, so by the
-// time it fires, b may already be serving a different block, and sealing
-// that one early would change behavior.
-func (m *Manager) armGroupCommitTimeout(g *generation, b *buffer) {
+// Only a buffer's first COMMIT, PREPARE or DECIDE arms it, and that is
+// exactly the policy of a timer per COMMIT: a buffer stops being its
+// generation's fill or pend buffer only by being written, which seals it,
+// and sealPend always finds a slot, so the first timer to fire seals the
+// buffer and every later one would find it sealed.
+func (m *Manager) armGroupCommitTimeout(b *buffer) {
 	if m.p.GroupCommitTimeout <= 0 {
 		return
 	}
-	epoch := b.epoch
-	m.clk.After(m.p.GroupCommitTimeout, func() {
-		if b.sealed || b.epoch != epoch {
-			return
-		}
-		if g.fill == b {
-			m.sealFill(g)
-		} else if g.pend == b {
-			m.sealPend(g)
-		}
-	})
+	b.timers++
+	b.armedFor = b.epoch
+	m.clk.At(m.at+m.p.GroupCommitTimeout, b.timeout)
+}
+
+// groupCommitTimeout is every buffer's group-commit timer (buffer.timeout).
+// Buffers are pooled, so a timer armed for a block the buffer carried
+// before may still be pending while it fills the next, and sealing that
+// one early would change behavior. A buffer's timers fire in the order
+// they were armed, so only the last one can be for the block the buffer
+// holds now — if that block is the epoch it was armed for.
+func (m *Manager) groupCommitTimeout(b *buffer) {
+	b.timers--
+	if b.timers > 0 || b.sealed || b.epoch != b.armedFor {
+		return
+	}
+	defer m.leave(m.enter())
+	if g := b.gen; g.fill == b {
+		m.sealFill(g)
+	} else if g.pend == b {
+		m.sealPend(g)
+	}
 }
 
 // openFill claims the next tail block and prepares a buffer for it.
@@ -124,7 +139,7 @@ func (m *Manager) openFill(g *generation) {
 	s := m.claimGuarded(g)
 	s.state = slotFilling
 	m.takeToken(g)
-	g.fill = m.newBuffer(s)
+	g.fill = m.newBuffer(g, s)
 }
 
 // sealFill writes out the current fill buffer, if any.
@@ -203,7 +218,7 @@ func (m *Manager) writeOut(g *generation, b *buffer) {
 	}
 	s.state = slotInFlight
 	b.sealed = true
-	b.gen, b.attempt = g, 1
+	b.attempt = 1
 	m.emit(trace.Event{Kind: trace.EvSeal, Gen: g.idx, N: len(b.recs)})
 	m.issueWrite(b)
 }
@@ -220,6 +235,7 @@ func (m *Manager) issueWrite(b *buffer) {
 
 // writeDone is every buffer's device completion (buffer.done).
 func (m *Manager) writeDone(b *buffer, err error) {
+	defer m.leave(m.enter())
 	if err != nil {
 		m.writeFailed(b)
 		return
@@ -258,7 +274,8 @@ func (m *Manager) writeFailed(b *buffer) {
 	if b.attempt <= m.maxRetries {
 		m.writeRetries.Inc()
 		m.emit(trace.Event{Kind: trace.EvRetry, Gen: g.idx, N: b.attempt})
-		m.clk.After(m.retryBackoff<<(b.attempt-1), func() {
+		m.clk.At(m.at+m.retryBackoff<<(b.attempt-1), func() {
+			defer m.leave(m.enter())
 			b.attempt++
 			m.issueWrite(b)
 		})
@@ -338,7 +355,7 @@ func (m *Manager) claimGuarded(g *generation) *slot {
 		// write completes, and the new copy supersedes them.
 		if s.refugees == 0 || (g.pend != nil && originsIn(g.pend, s) == s.refugees) {
 			claimed := g.claimSlot()
-			m.usedGauges[g.idx].Set(m.now(), float64(g.used))
+			m.usedGauges[g.idx].Set(m.at, float64(g.used))
 			return claimed
 		}
 		// Refugees ride in an in-flight buffer; the write completes within
@@ -420,7 +437,7 @@ func (m *Manager) commitDurable(e *lttEntry) {
 	}
 	e.state = txCommitted
 	m.commits.Inc()
-	m.commitDelay.Observe((m.now() - e.commitAppAt).Seconds())
+	m.commitDelay.Observe((m.at - e.commitAppAt).Seconds())
 	m.emit(trace.Event{Kind: trace.EvCommit, Gen: -1, Tx: e.tid})
 	// The entry can retire — and be recycled — before this returns.
 	onDurable := e.onDurable
@@ -486,6 +503,7 @@ func (m *Manager) commitDurable(e *lttEntry) {
 // to the stable database and, if it is still the object's most recently
 // committed version, its log record becomes garbage.
 func (m *Manager) Flushed(req flushdisk.Request) {
+	defer m.leave(m.enter())
 	m.emit(trace.Event{Kind: trace.EvFlush, Gen: -1, Obj: req.Obj, LSN: req.LSN})
 	switch {
 	case req.Clean:
@@ -604,6 +622,7 @@ func (m *Manager) retire(e *lttEntry) {
 // disk. Recovery drills call it before crashing "cleanly"; the paper's
 // steady-state experiments never need it.
 func (m *Manager) Quiesce() {
+	defer m.leave(m.enter())
 	for _, g := range m.gens {
 		m.sealFill(g)
 		m.sealPend(g)

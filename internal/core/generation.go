@@ -63,13 +63,20 @@ type buffer struct {
 	origins []*slot     // refugee accounting: one entry per drained record
 	commits []*lttEntry // transactions whose COMMIT record rides in this buffer
 	sealed  bool
-	epoch   uint64 // bumped on recycle; guards stale group-commit timeouts
+	epoch   uint64      // bumped on recycle; guards stale group-commit timeouts
+	gen     *generation // the generation whose tail the buffer fills
 
-	// Write state, set by writeOut: the generation being written to, the
-	// attempt in progress (1 is the original issue, higher are fault
-	// retries), and the completion callback handed to the device — built
-	// once per buffer, so issuing a write allocates nothing.
-	gen     *generation
+	// Group-commit timer (armGroupCommitTimeout): the handler, built once
+	// per buffer like done, the timers armed and not yet fired, and the
+	// epoch the last of them was armed for.
+	timeout  func()
+	timers   int
+	armedFor uint64
+
+	// Write state, set by writeOut: the attempt in progress (1 is the
+	// original issue, higher are fault retries), and the completion callback
+	// handed to the device — built once per buffer, so issuing a write
+	// allocates nothing.
 	attempt int
 	done    func(err error)
 }

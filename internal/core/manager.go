@@ -28,6 +28,13 @@ type Manager struct {
 	flush *flushdisk.Array
 	db    *statedb.DB
 
+	// at is the clock reading of the call into the manager in progress: an
+	// exported method, or a callback the manager handed to the device or
+	// the clock, reads the clock once on entry (enter), and everything the
+	// call does is stamped with that reading — the simulator's rule that a
+	// handler runs at one instant, kept on the wall clock too.
+	at sim.Time
+
 	gens []*generation
 	lot  *container.Table[*lotEntry]
 	ltt  *container.Table[*lttEntry]
@@ -104,7 +111,9 @@ func New(clk sim.Clock, p Params, dev LogDevice, flush *flushdisk.Array, db *sta
 		m.gens = append(m.gens, newGeneration(i, size, dev, p.BuffersPerGen))
 	}
 	m.usedGauges = make([]metrics.Gauge, len(m.gens))
+	outer := m.enter()
 	m.touchMem()
+	m.leave(outer)
 	return m, nil
 }
 
@@ -195,7 +204,7 @@ func (m *Manager) emit(e trace.Event) {
 	if m.tracer == nil {
 		return
 	}
-	e.At = m.now()
+	e.At = m.at
 	m.tracer.Emit(e)
 }
 
@@ -208,7 +217,20 @@ func (m *Manager) DB() *statedb.DB { return m.db }
 // Device returns the log device the manager appends to.
 func (m *Manager) Device() LogDevice { return m.dev }
 
-func (m *Manager) now() sim.Time { return m.clk.Now() }
+// enter starts a call into the manager: it takes the call's one clock
+// reading and returns the reading of the call it interrupts, for leave to
+// put back when it returns. Calls nest — an acknowledgement that begins the
+// next transaction, a force flush's completion — and each is stamped with
+// its own reading, so a reading never outlives the call that took it. On a
+// simulated clock every reading of one event is the same instant.
+func (m *Manager) enter() sim.Time {
+	outer := m.at
+	m.at = m.clk.Now()
+	return outer
+}
+
+// leave ends the call enter started.
+func (m *Manager) leave(outer sim.Time) { m.at = outer }
 
 func (m *Manager) lsn() logrec.LSN {
 	m.nextLSN++
@@ -227,6 +249,7 @@ func (m *Manager) Begin(tid logrec.TxID) { m.BeginHinted(tid, 0) }
 // the section 6 placement extension (when configured) can start its
 // records directly in an older generation.
 func (m *Manager) BeginHinted(tid logrec.TxID, expected sim.Time) {
+	defer m.leave(m.enter())
 	if _, ok := m.ltt.Get(uint64(tid)); ok {
 		panic(fmt.Sprintf("core: Begin of existing transaction %d", tid))
 	}
@@ -234,10 +257,10 @@ func (m *Manager) BeginHinted(tid logrec.TxID, expected sim.Time) {
 	*e = lttEntry{
 		tid:      tid,
 		state:    txActive,
-		beginAt:  m.now(),
+		beginAt:  m.at,
 		startGen: m.p.startGen(expected),
 	}
-	c := m.newCell(m.recs.NewTxRecord(m.lsn(), m.now(), logrec.KindBegin, tid, m.p.TxRecSize), e, nil)
+	c := m.newCell(m.recs.NewTxRecord(m.lsn(), m.at, logrec.KindBegin, tid, m.p.TxRecSize), e, nil)
 	e.txCell = c
 	m.ltt.Put(uint64(tid), e)
 	m.appendTail(e.startGen, c, nil)
@@ -249,6 +272,7 @@ func (m *Manager) BeginHinted(tid logrec.TxID, expected sim.Time) {
 // and returns the record's LSN (the synthetic new value of the object,
 // which lets test oracles verify recovery exactly).
 func (m *Manager) WriteData(tid logrec.TxID, oid logrec.OID, size int) logrec.LSN {
+	defer m.leave(m.enter())
 	e := m.mustTx(tid)
 	if e.state != txActive {
 		panic(fmt.Sprintf("core: WriteData on %v transaction %d", e.state, tid))
@@ -256,7 +280,7 @@ func (m *Manager) WriteData(tid logrec.TxID, oid logrec.OID, size int) logrec.LS
 	if size > m.p.BlockPayload {
 		panic(fmt.Sprintf("core: record of %d bytes exceeds block payload %d", size, m.p.BlockPayload))
 	}
-	rec := m.recs.NewDataRecord(m.lsn(), m.now(), tid, oid, size)
+	rec := m.recs.NewDataRecord(m.lsn(), m.at, tid, oid, size)
 	le := m.lotFor(oid)
 	// Record the before-image: the latest committed version of the object
 	// before this transaction touched it (the UNDO information of the
@@ -290,13 +314,14 @@ func (m *Manager) WriteData(tid logrec.TxID, oid logrec.OID, size int) logrec.LS
 // record is durable (group commit); onDurable, if non-nil, is invoked at
 // that moment — the paper's acknowledgement at time t4.
 func (m *Manager) Commit(tid logrec.TxID, onDurable func()) {
+	defer m.leave(m.enter())
 	e := m.mustTx(tid)
 	if e.state != txActive {
 		panic(fmt.Sprintf("core: Commit on %v transaction %d", e.state, tid))
 	}
 	e.state = txCommitting
 	e.onDurable = onDurable
-	e.commitAppAt = m.now()
+	e.commitAppAt = m.at
 	m.replaceTxRecord(e, logrec.KindCommit)
 }
 
@@ -306,12 +331,12 @@ func (m *Manager) Commit(tid logrec.TxID, onDurable func()) {
 // list (section 2.3 footnote 4); the earlier record becomes garbage in
 // place.
 func (m *Manager) replaceTxRecord(e *lttEntry, kind logrec.Kind) {
-	rec := m.recs.NewTxRecord(m.lsn(), m.now(), kind, e.tid, m.p.TxRecSize)
+	rec := m.recs.NewTxRecord(m.lsn(), m.at, kind, e.tid, m.p.TxRecSize)
 	c := e.txCell
 	if c.inList {
 		g := m.gens[c.gen]
 		g.list.remove(c)
-		g.noteAge(m.now() - c.arrived)
+		g.noteAge(m.at - c.arrived)
 	}
 	// The superseded record is garbage whether its cell is listed or
 	// still riding detached in an unwritten buffer; counting only the
@@ -330,13 +355,14 @@ func (m *Manager) replaceTxRecord(e *lttEntry, kind logrec.Kind) {
 // only be resolved by ResolveCommit or ResolveAbort, never killed, so it
 // pins its generation's retirement eligibility until resolved.
 func (m *Manager) Prepare(tid logrec.TxID, onPrepared func()) {
+	defer m.leave(m.enter())
 	e := m.mustTx(tid)
 	if e.state != txActive {
 		panic(fmt.Sprintf("core: Prepare on %v transaction %d", e.state, tid))
 	}
 	e.state = txPreparing
 	e.onPrepared = onPrepared
-	e.commitAppAt = m.now()
+	e.commitAppAt = m.at
 	m.replaceTxRecord(e, logrec.KindPrepare)
 }
 
@@ -347,6 +373,7 @@ func (m *Manager) Prepare(tid logrec.TxID, onPrepared func()) {
 // one of them has retired (Unpin), so a crashed participant replaying a
 // durable PREPARE can always find the decision in the coordinator's log.
 func (m *Manager) DecideCommit(tid logrec.TxID, pins int, onDurable func()) {
+	defer m.leave(m.enter())
 	e := m.mustTx(tid)
 	if e.state != txActive {
 		panic(fmt.Sprintf("core: DecideCommit on %v transaction %d", e.state, tid))
@@ -357,7 +384,7 @@ func (m *Manager) DecideCommit(tid logrec.TxID, pins int, onDurable func()) {
 	e.state = txCommitting
 	e.onDurable = onDurable
 	e.pins = pins
-	e.commitAppAt = m.now()
+	e.commitAppAt = m.at
 	m.replaceTxRecord(e, logrec.KindDecide)
 }
 
@@ -369,6 +396,7 @@ func (m *Manager) DecideCommit(tid logrec.TxID, pins int, onDurable func()) {
 // entry retires (every update flushed); the 2PC overlay uses it to unpin the
 // coordinator's DECIDE record.
 func (m *Manager) ResolveCommit(tid logrec.TxID, onRetired func()) {
+	defer m.leave(m.enter())
 	e := m.mustTx(tid)
 	if e.state != txPrepared {
 		panic(fmt.Sprintf("core: ResolveCommit on %v transaction %d", e.state, tid))
@@ -385,6 +413,7 @@ func (m *Manager) ResolveCommit(tid logrec.TxID, onRetired func()) {
 // branches that have not prepared yet; presumed abort resolves prepared
 // ones). No decision record is ever logged for an abort.
 func (m *Manager) ResolveAbort(tid logrec.TxID) {
+	defer m.leave(m.enter())
 	e := m.mustTx(tid)
 	switch e.state {
 	case txActive, txPreparing, txPrepared:
@@ -399,6 +428,7 @@ func (m *Manager) ResolveAbort(tid logrec.TxID) {
 // count reaches zero and every local update has flushed, the entry — and
 // its DECIDE record — finally retires.
 func (m *Manager) Unpin(tid logrec.TxID) {
+	defer m.leave(m.enter())
 	e := m.mustTx(tid)
 	if e.pins <= 0 {
 		panic(fmt.Sprintf("core: Unpin of unpinned transaction %d", tid))
@@ -410,6 +440,7 @@ func (m *Manager) Unpin(tid logrec.TxID) {
 // Abort voluntarily aborts an active transaction: all its records become
 // garbage immediately and its LTT entry is deleted (section 2.3).
 func (m *Manager) Abort(tid logrec.TxID) {
+	defer m.leave(m.enter())
 	e := m.mustTx(tid)
 	if e.state != txActive {
 		panic(fmt.Sprintf("core: Abort on %v transaction %d", e.state, tid))
@@ -485,19 +516,21 @@ func (m *Manager) takeCells() []*cell {
 // iterating it.
 func (m *Manager) putCells(s []*cell) { m.cellBufs = append(m.cellBufs, s) }
 
-// newBuffer takes a block buffer off the pool (or builds one) with the full
-// payload free and the given slot.
-func (m *Manager) newBuffer(s *slot) *buffer {
+// newBuffer takes a block buffer off the pool (or builds one) for g's tail,
+// with the full payload free and the given slot.
+func (m *Manager) newBuffer(g *generation, s *slot) *buffer {
 	if n := len(m.bufPool); n > 0 {
 		b := m.bufPool[n-1]
 		m.bufPool = m.bufPool[:n-1]
+		b.gen = g
 		b.slot = s
 		b.free = m.p.BlockPayload
 		b.sealed = false
 		return b
 	}
-	b := &buffer{slot: s, free: m.p.BlockPayload, epoch: 1}
+	b := &buffer{gen: g, slot: s, free: m.p.BlockPayload, epoch: 1}
 	b.done = func(err error) { m.writeDone(b, err) }
+	b.timeout = func() { m.groupCommitTimeout(b) }
 	m.allBufs = append(m.allBufs, b)
 	return b
 }
@@ -544,7 +577,7 @@ func (m *Manager) unlink(c *cell) {
 	}
 	g := m.gens[c.gen]
 	g.list.remove(c)
-	g.noteAge(m.now() - c.arrived)
+	g.noteAge(m.at - c.arrived)
 	m.freeCell(c)
 }
 
@@ -610,8 +643,7 @@ func (m *Manager) undoStolen(oid logrec.OID, c *cell, tid logrec.TxID) {
 // touchMem refreshes the main-memory gauges using the paper's accounting:
 // MemPerTx bytes per LTT entry plus MemPerObj bytes per LOT entry.
 func (m *Manager) touchMem() {
-	now := m.now()
-	m.lotGauge.Set(now, float64(m.lot.Len()))
-	m.lttGauge.Set(now, float64(m.ltt.Len()))
-	m.memGauge.Set(now, float64(m.p.MemPerTx*m.ltt.Len()+m.p.MemPerObj*m.lot.Len()))
+	m.lotGauge.Set(m.at, float64(m.lot.Len()))
+	m.lttGauge.Set(m.at, float64(m.ltt.Len()))
+	m.memGauge.Set(m.at, float64(m.p.MemPerTx*m.ltt.Len()+m.p.MemPerObj*m.lot.Len()))
 }

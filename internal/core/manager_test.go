@@ -154,6 +154,41 @@ func TestGroupCommitTimeout(t *testing.T) {
 	}
 }
 
+// TestGroupCommitTimeoutOnReusedBuffer: with writes much faster than the
+// timeout, a pooled buffer is written, recycled and filling its next block
+// while the timer of its first block is still pending. That stale timer
+// must not seal the new block; the new block's own timer does.
+func TestGroupCommitTimeoutOnReusedBuffer(t *testing.T) {
+	// Block payload 100: BEGIN(8) + data(84) + COMMIT(8) fill a block, and
+	// the next BEGIN seals it.
+	s := testSetup(t, Params{
+		Mode: ModeEphemeral, GenSizes: []int{8, 8},
+		BlockPayload: 100, WriteLatency: sim.Millisecond,
+		GroupCommitTimeout: 50 * sim.Millisecond,
+	})
+	m := s.LM
+	durableAt := map[logrec.TxID]sim.Time{}
+	ack := func(tid logrec.TxID) func() { return func() { durableAt[tid] = s.Eng.Now() } }
+	m.Begin(1) // buffer A, whose timer is due at 50 ms
+	m.WriteData(1, 1, 84)
+	m.Commit(1, ack(1))
+	m.Begin(2) // seals A and opens buffer B
+	s.Eng.Run(2 * sim.Millisecond)
+	m.WriteData(2, 2, 84)
+	m.Commit(2, ack(2))
+	m.Begin(3) // seals B and opens A again, recycled at 1 ms
+	s.Eng.Run(4 * sim.Millisecond)
+	m.Commit(3, ack(3)) // A's second block: its timer is due at 54 ms
+	s.Eng.Run(sim.Second)
+	want := map[logrec.TxID]sim.Time{1: sim.Millisecond, 2: 3 * sim.Millisecond, 3: 55 * sim.Millisecond}
+	for tid, at := range want {
+		if durableAt[tid] != at {
+			t.Errorf("transaction %d durable at %v, want %v", tid, durableAt[tid], at)
+		}
+	}
+	assertInv(t, m)
+}
+
 func TestFlushMakesRecordsGarbageAndRetiresTables(t *testing.T) {
 	s := testSetup(t, Params{Mode: ModeEphemeral, GenSizes: []int{8, 8}})
 	m := s.LM

@@ -74,7 +74,7 @@ func (s Stats) Insufficient() bool {
 
 // Stats captures a snapshot at the current simulated time.
 func (m *Manager) Stats() Stats {
-	now := m.now()
+	now := m.clk.Now()
 	devStats := m.dev.Stats()
 	s := Stats{
 		Mode:    m.p.Mode,

@@ -179,6 +179,58 @@ func TestBatchIsOnePwritePerRun(t *testing.T) {
 	}
 }
 
+// TestSlotPaddingIsZeros: the loop hands the syncer only a slot's frame, and
+// the syncer pads the slot with zeros in its gather buffer. A slot rewritten
+// with a shorter frame than it held, and a run of two slots whose second
+// frame is the shorter, must read back as their frames followed by zeros —
+// not by the bytes of a longer frame a pooled slot buffer or the gather
+// buffer carried before.
+func TestSlotPaddingIsZeros(t *testing.T) {
+	loop, dev, dir := openTestDevice(t)
+	ids := allocSlots(dev, 0, 2)
+	long, short := bytes.Repeat([]byte{'L'}, testSlot/2), []byte("short")
+	for _, turn := range []struct {
+		name     string
+		payloads [][]byte // by slot; nil leaves the slot as it is
+		want     []string // ReadImage's reading of each slot afterwards
+	}{
+		{"two long frames", [][]byte{long, long}, []string{"gen 0: " + string(long), "gen 0: " + string(long)}},
+		{"slot 1 rewritten shorter", [][]byte{short, nil}, []string{"gen 0: short", "gen 0: " + string(long)}},
+		{"a run, long then short", [][]byte{long, short}, []string{"gen 0: " + string(long), "gen 0: short"}},
+	} {
+		for i, p := range turn.payloads {
+			if p != nil {
+				dev.Write(ids[i], p, func(err error) {
+					if err != nil {
+						t.Errorf("%s: write failed: %v", turn.name, err)
+					}
+				})
+			}
+		}
+		drainDevice(t, loop, dev)
+		got := readSlots(t, dir)
+		for i, w := range turn.want {
+			if got[ids[i]] != w {
+				t.Errorf("%s: slot %d reads %.40q…, want %.40q…", turn.name, ids[i], got[ids[i]], w)
+			}
+		}
+		file, err := os.ReadFile(filepath.Join(dir, logName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range ids {
+			s := file[i*testSlot : (i+1)*testSlot]
+			_, payload, _ := parseFrame(s)
+			if pad := s[frameHdrLen+len(payload):]; len(bytes.TrimLeft(pad, "\x00")) != 0 {
+				t.Errorf("%s: slot %d is not zero behind its frame", turn.name, ids[i])
+			}
+		}
+	}
+	if err := dev.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPwriteFailureFailsTheBatch: when a run's pwrite fails or comes back
 // short, the runs behind it are not written, no fsync is issued, and every
 // block of the batch — those already in the file included — completes with

@@ -94,7 +94,7 @@ type RealStats struct {
 type slotWrite struct {
 	id   blockdev.BlockID
 	off  int64
-	buf  []byte
+	buf  []byte // the frame alone; writeRuns pads it out to the slot
 	gen  int
 	plen int
 	done func(err error)
@@ -320,12 +320,11 @@ func (d *Device) Write(id blockdev.BlockID, data []byte, done func(err error)) {
 	}
 	buf := d.takeBuf()
 	n := putFrame(buf, gen, data)
-	clear(buf[n:])
 	d.pending[id] = struct{}{}
 	w := slotWrite{
 		id:   id,
 		off:  off,
-		buf:  buf,
+		buf:  buf[:n],
 		gen:  gen,
 		plen: len(data),
 		done: done,
@@ -416,10 +415,11 @@ func (d *Device) syncer() {
 // writeRuns puts the batch's slots in the file with one pwrite per maximal
 // run of writes whose slots are adjacent (a generation's ring is allocated
 // consecutively and claimed in ring order, so a batch is one run except
-// where it wraps or mixes generations). Each slot is copied whole — frame
-// and zero padding — into the gather buffer, so the bytes on disk are those
-// of one pwrite per slot. The first failed or short pwrite stops the batch.
-// Syncer goroutine only.
+// where it wraps or mixes generations). Each frame is copied into the gather
+// buffer and the rest of its slot zeroed there — the loop only frames, the
+// padding is the syncer's — so the bytes on disk are those of one whole-slot
+// pwrite per slot. The first failed or short pwrite stops the batch. Syncer
+// goroutine only.
 func (d *Device) writeRuns(b *batch) error {
 	slot := d.opt.SlotBytes
 	for ws := b.writes; len(ws) > 0; {
@@ -432,7 +432,8 @@ func (d *Device) writeRuns(b *batch) error {
 		}
 		run := d.gather[:n*slot]
 		for i, w := range ws[:n] {
-			copy(run[i*slot:], w.buf)
+			s := run[i*slot : (i+1)*slot]
+			clear(s[copy(s, w.buf):])
 		}
 		b.pwrites++
 		m, err := d.pwrite(run, ws[0].off)
@@ -576,6 +577,6 @@ func (d *Device) takeBuf() []byte {
 
 func (d *Device) putBuf(b []byte) {
 	if len(d.pool) < 64 {
-		d.pool = append(d.pool, b)
+		d.pool = append(d.pool, b[:cap(b)])
 	}
 }

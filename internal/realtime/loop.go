@@ -35,10 +35,10 @@ type Loop struct {
 	// fired last, is never exposed. Loop-goroutine only.
 	eng *sim.Engine
 
-	// Cross-goroutine mailbox.
-	mu     sync.Mutex
-	posted []func()
-	wake   chan struct{}
+	// Cross-goroutine mailbox; drainPosted swaps posted and spare.
+	mu            sync.Mutex
+	posted, spare []func() // spare: drained last pass, loop-goroutine only
+	wake          chan struct{}
 }
 
 // New returns a loop whose clock starts at 0 now and whose random stream is
@@ -140,11 +140,13 @@ func (l *Loop) Run(until sim.Time) {
 func (l *Loop) drainPosted() {
 	l.mu.Lock()
 	posts := l.posted
-	l.posted = nil
+	l.posted, l.spare = l.spare, nil
 	l.mu.Unlock()
 	for _, fn := range posts {
 		fn()
 	}
+	clear(posts) // the callbacks are done; keep none of them alive
+	l.spare = posts[:0]
 }
 
 var _ sim.Source = (*Loop)(nil)

@@ -131,6 +131,26 @@ func TestPostRunsAheadOfDueTimers(t *testing.T) {
 	}
 }
 
+// TestPostZeroAllocs: once the mailbox has grown to the largest pass,
+// posting a callback and running the pass that drains it allocates nothing.
+func TestPostZeroAllocs(t *testing.T) {
+	l := New(1)
+	ran := 0
+	fn := func() { ran++ }
+	cycle := func() {
+		l.Post(fn)
+		l.Post(fn)
+		l.Run(0)
+	}
+	cycle()
+	if n := testing.AllocsPerRun(1000, cycle); n != 0 {
+		t.Fatalf("Post + drain allocates %v times per pass, want 0", n)
+	}
+	if want := 2 * 1002; ran != want {
+		t.Fatalf("%d callbacks ran, want %d", ran, want)
+	}
+}
+
 func TestRandIsSeededDeterministically(t *testing.T) {
 	a, b := New(42), New(42)
 	for i := 0; i < 16; i++ {
