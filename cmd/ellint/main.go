@@ -1,29 +1,17 @@
 // Command ellint enforces the repository's determinism contract (see
-// DESIGN.md, "Determinism contract") with the analyzers in internal/lint.
+// DESIGN.md, "Determinism contract") with the rules in internal/lint.
 //
-// Standalone:
+//	go run ./cmd/ellint ./...   # report violations, exit 1 if any
+//	go run ./cmd/ellint -h      # list the rules and where each applies
 //
-//	go run ./cmd/ellint ./...          # report violations, exit 1 if any
-//	go run ./cmd/ellint -fix ./...     # apply mechanical fixes (maporder)
-//	go run ./cmd/ellint -doc           # print each rule's documentation
-//	go run ./cmd/ellint -json out.json ./...  # also write machine-readable findings
-//
-// As a vet tool (speaks cmd/go's unitchecker .cfg protocol, so results are
-// cached by the build cache):
-//
-//	go build -o bin/ellint ./cmd/ellint
-//	go vet -vettool=$PWD/bin/ellint ./...
-//
-// Exit status: 0 clean, 1 findings (standalone), 2 findings (vet mode,
-// matching x/tools unitchecker), >2 operational error.
+// It takes package patterns and nothing else. Exit status: 0 clean,
+// 1 findings, 3 operational error (no module, type errors, import cycle).
 package main
 
 import (
-	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -31,59 +19,8 @@ import (
 )
 
 func main() {
-	// cmd/go probes vet tools before handing them a unit config.
-	for _, arg := range os.Args[1:] {
-		switch {
-		case strings.HasPrefix(arg, "-V"):
-			// cmd/go parses this exact shape ("name version devel ...
-			// buildID=xxx") and keys the build cache on it, so hash the
-			// binary: a rebuilt ellint must invalidate cached vet results.
-			name := strings.TrimSuffix(filepath.Base(os.Args[0]), ".exe")
-			exe, err := os.Executable()
-			if err != nil {
-				fatal(err)
-			}
-			data, err := os.ReadFile(exe)
-			if err != nil {
-				fatal(err)
-			}
-			h := sha256.Sum256(data)
-			fmt.Printf("%s version devel comments-go-here buildID=%x\n", name, h[:16])
-			return
-		case arg == "-flags":
-			fmt.Println("[]")
-			return
-		case strings.HasSuffix(arg, ".cfg"):
-			os.Exit(unitcheck(arg))
-		}
-	}
-
-	fix := flag.Bool("fix", false, "apply suggested fixes (maporder sorted-keys rewrite) to the source tree")
-	doc := flag.Bool("doc", false, "print each rule's documentation and scope, then exit")
-	jsonOut := flag.String("json", "", "write machine-readable findings (ellint-findings/1 schema) to this `file`; written even when clean")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: ellint [-fix] [-json file] [package pattern ...]\n\nRules enforced (suppress a site with //ellint:allow <rule> <reason>):\n")
-		for _, rule := range lint.Ruleset {
-			fmt.Fprintf(flag.CommandLine.Output(), "  %-12s %s\n", rule.Name, firstSentence(rule.Doc))
-		}
-		flag.PrintDefaults()
-	}
+	flag.Usage = usage
 	flag.Parse()
-
-	if *doc {
-		for _, rule := range lint.Ruleset {
-			fmt.Printf("%s\n%s\n%s\n\n", rule.Name, strings.Repeat("-", len(rule.Name)), rule.Doc)
-			if len(rule.Scope.Only) > 0 {
-				fmt.Printf("  applies only under: %s\n\n", strings.Join(rule.Scope.Only, ", "))
-			}
-			if len(rule.Scope.Skip) > 0 {
-				fmt.Printf("  exempt packages: %s\n\n", strings.Join(rule.Scope.Skip, ", "))
-			}
-		}
-		return
-	}
-
 	dir, err := os.Getwd()
 	if err != nil {
 		fatal(err)
@@ -92,53 +29,41 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *fix {
-		fixed, err := lint.ApplyFixes(findings)
-		if err != nil {
-			fatal(err)
-		}
-		for _, name := range fixed {
-			fmt.Printf("fixed %s\n", name)
-		}
-		// Re-run: fixes may leave (or reveal) findings that need a human.
-		findings, err = lint.Run(dir, flag.Args())
-		if err != nil {
-			fatal(err)
-		}
+	if len(findings) == 0 {
+		return
 	}
-	// The report is written before the exit decision so CI archives it
-	// on both clean and failing runs; exit codes are unchanged by -json.
-	if *jsonOut != "" {
-		if err := lint.WriteJSONReport(*jsonOut, findings, dir); err != nil {
-			fatal(err)
-		}
+	fmt.Fprint(os.Stderr, lint.FormatFindings(findings, dir))
+	byRule := make(map[string]int)
+	for _, f := range findings {
+		byRule[f.Analyzer]++
 	}
-	if len(findings) > 0 {
-		fmt.Fprint(os.Stderr, lint.FormatFindings(findings, dir))
-		byRule := make(map[string]int)
-		for _, f := range findings {
-			byRule[f.Analyzer]++
-		}
-		rules := make([]string, 0, len(byRule))
-		for r := range byRule {
-			rules = append(rules, r)
-		}
-		sort.Strings(rules)
-		var parts []string
-		for _, r := range rules {
-			parts = append(parts, fmt.Sprintf("%s %d", r, byRule[r]))
-		}
-		fmt.Fprintf(os.Stderr, "ellint: %d determinism-contract violation(s): %s\n",
-			len(findings), strings.Join(parts, ", "))
-		os.Exit(1)
+	var parts []string
+	for r, n := range byRule {
+		parts = append(parts, fmt.Sprintf("%s %d", r, n))
 	}
+	sort.Strings(parts)
+	fmt.Fprintf(os.Stderr, "ellint: %d determinism-contract violation(s): %s\n",
+		len(findings), strings.Join(parts, ", "))
+	os.Exit(1)
 }
 
-func firstSentence(s string) string {
-	if i := strings.Index(s, ";"); i > 0 {
-		return s[:i]
+func usage() {
+	out := flag.CommandLine.Output()
+	fmt.Fprintf(out, "usage: ellint [package pattern ...]\n\n"+
+		"Rules (suppress a site with //ellint:allow <rule> <reason>):\n")
+	for _, rule := range lint.Ruleset {
+		var where []string
+		if len(rule.Scope.Only) > 0 {
+			where = append(where, "only in "+strings.Join(rule.Scope.Only, ", "))
+		}
+		if len(rule.Scope.Skip) > 0 {
+			where = append(where, "not in "+strings.Join(rule.Scope.Skip, ", "))
+		}
+		if len(where) == 0 {
+			where = append(where, "module-wide")
+		}
+		fmt.Fprintf(out, "  %-9s %s\n  %-9s [%s]\n", rule.Name, rule.Doc, "", strings.Join(where, "; "))
 	}
-	return s
 }
 
 func fatal(err error) {

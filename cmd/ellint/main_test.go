@@ -1,10 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ellog/internal/lint"
@@ -41,53 +41,32 @@ func writeModule(t *testing.T, files map[string]string) string {
 
 const goMod = "module example.test/exit\n\ngo 1.22\n"
 
-// TestExitCodes pins the documented contract: 0 clean, 1 findings
-// (standalone), 3 operational error — with the -json report written in
-// the clean and failing cases alike.
+// TestExitCodes pins the documented contract: 0 clean, 1 findings, 3
+// operational error — and -h lists every rule.
 func TestExitCodes(t *testing.T) {
 	bin := buildEllint(t)
 
-	run := func(dir string, args ...string) int {
+	run := func(dir string, args ...string) (int, string) {
 		t.Helper()
 		cmd := exec.Command(bin, args...)
 		cmd.Dir = dir
 		out, err := cmd.CombinedOutput()
 		if err == nil {
-			return 0
+			return 0, string(out)
 		}
 		exit, ok := err.(*exec.ExitError)
 		if !ok {
 			t.Fatalf("ellint %v: %v\n%s", args, err, out)
 		}
-		return exit.ExitCode()
-	}
-
-	readReport := func(path string) lint.JSONReport {
-		t.Helper()
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var r lint.JSONReport
-		if err := json.Unmarshal(data, &r); err != nil {
-			t.Fatalf("report at %s does not parse: %v", path, err)
-		}
-		if r.Schema != lint.JSONSchema {
-			t.Fatalf("report schema = %q, want %q", r.Schema, lint.JSONSchema)
-		}
-		return r
+		return exit.ExitCode(), string(out)
 	}
 
 	clean := writeModule(t, map[string]string{
 		"go.mod": goMod,
 		"p.go":   "package p\n\nfunc Add(a, b int) int { return a + b }\n",
 	})
-	cleanJSON := filepath.Join(t.TempDir(), "clean.json")
-	if code := run(clean, "-json", cleanJSON, "./..."); code != 0 {
-		t.Errorf("clean module: exit %d, want 0", code)
-	}
-	if r := readReport(cleanJSON); r.Count != 0 || len(r.Findings) != 0 {
-		t.Errorf("clean report has %d findings", r.Count)
+	if code, out := run(clean, "./..."); code != 0 {
+		t.Errorf("clean module: exit %d, want 0\n%s", code, out)
 	}
 
 	dirty := writeModule(t, map[string]string{
@@ -99,18 +78,24 @@ import "time"
 func Stamp() int64 { return time.Now().UnixNano() }
 `,
 	})
-	dirtyJSON := filepath.Join(t.TempDir(), "dirty.json")
-	if code := run(dirty, "-json", dirtyJSON, "./..."); code != 1 {
-		t.Errorf("dirty module: exit %d, want 1", code)
-	}
-	if r := readReport(dirtyJSON); r.Count == 0 {
-		t.Error("dirty report is empty")
-	} else if r.Findings[0].Rule != "wallclock" {
-		t.Errorf("dirty report rule = %q, want wallclock", r.Findings[0].Rule)
+	if code, out := run(dirty, "./..."); code != 1 {
+		t.Errorf("dirty module: exit %d, want 1\n%s", code, out)
+	} else if !strings.Contains(out, "p.go:5:29: wallclock: time.Now reads the wall clock") {
+		t.Errorf("dirty module: finding not reported as file:line:col: rule:\n%s", out)
 	}
 
 	// Outside any module: operational error.
-	if code := run(t.TempDir(), "./..."); code != 3 {
-		t.Errorf("no module: exit %d, want 3", code)
+	if code, out := run(t.TempDir(), "./..."); code != 3 {
+		t.Errorf("no module: exit %d, want 3\n%s", code, out)
+	}
+
+	code, out := run(clean, "-h")
+	if code != 0 {
+		t.Errorf("-h: exit %d, want 0", code)
+	}
+	for _, rule := range lint.Ruleset {
+		if !strings.Contains(out, "  "+rule.Name+" ") {
+			t.Errorf("-h does not list rule %s:\n%s", rule.Name, out)
+		}
 	}
 }

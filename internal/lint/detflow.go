@@ -1,7 +1,5 @@
 package lint
 
-import "fmt"
-
 // DetflowAnalyzer flags calls (and function-value references) whose
 // target transitively reaches a wall-clock read or timer without going
 // through the sim.Clock seam. The local wallclock analyzer catches a
@@ -18,75 +16,38 @@ import "fmt"
 // analyzer's blind spot is exactly the shape the contract permits.
 var DetflowAnalyzer = &Analyzer{
 	Name: "detflow",
-	Doc: "flags calls that transitively reach time.Now/timers outside the sim.Clock seam\n\n" +
-		"A wrapper around time.Now (any number of hops deep, including in another\n" +
-		"module package) taints its callers; calling a tainted function from a\n" +
-		"determinism-scoped package is reported at the call site with the full\n" +
-		"call chain. Take the clock through the sim.Clock interface instead, or\n" +
-		"annotate audited wall-clock experiments with //ellint:allow detflow.",
-	Run:         runDetflow,
-	NeedsInterp: true,
+	Doc:  "flags calls that transitively reach time.Now or timers outside the sim.Clock seam, naming the call chain",
+	Run:  func(pass *Pass) { runFlow(pass, true) },
 }
 
 // RngflowAnalyzer is detflow's RNG twin: it flags calls whose target
 // transitively constructs or consumes ad-hoc randomness instead of
 // drawing from the seeded PCG seam. Packages that own generator
-// construction (RngSealPackages) export sealed summaries, so calling
-// into them is clean by definition.
+// construction (RngSealPackages) record no RNG taint, so calling into
+// them is clean by definition.
 var RngflowAnalyzer = &Analyzer{
 	Name: "rngflow",
-	Doc: "flags calls that transitively reach global math/rand or ad-hoc generator construction\n\n" +
-		"A helper that seeds its own rand.Rand (or leans on the global source)\n" +
-		"taints its callers; calling it from determinism-scoped code is reported\n" +
-		"at the call site with the full call chain. Draw randomness from the\n" +
-		"engine's seeded PCG stream (sim.Source) instead.",
-	Run:         runRngflow,
-	NeedsInterp: true,
+	Doc:  "flags calls that transitively reach global math/rand or ad-hoc generator construction, naming the call chain",
+	Run:  func(pass *Pass) { runFlow(pass, false) },
 }
 
-func runDetflow(pass *Pass) error { return runFlow(pass, true) }
-func runRngflow(pass *Pass) error { return runFlow(pass, false) }
-
-func runFlow(pass *Pass, wallclock bool) error {
+func runFlow(pass *Pass, wallclock bool) {
 	in := pass.Interp
-	if in == nil {
-		return fmt.Errorf("%s requires the interprocedural layer", map[bool]string{true: "detflow", false: "rngflow"}[wallclock])
+	what, seam := "ad-hoc randomness", "draw from the seeded sim.Source stream"
+	if wallclock {
+		what, seam = "the wall clock", "take time through the sim.Clock seam"
 	}
 	for _, fn := range in.funcs {
 		for _, e := range in.edges[fn] {
-			cs := in.SummaryOf(e.callee)
-			if cs == nil {
+			if in.sums[e.callee].taint(wallclock) == nil {
 				continue
 			}
-			var tp *TaintPath
-			if wallclock {
-				tp = cs.Wallclock
-			} else {
-				tp = cs.Rng
+			verb := "call to"
+			if e.isRef {
+				verb = "reference to"
 			}
-			if tp == nil {
-				continue
-			}
-			pass.Report(Diagnostic{
-				Pos:     e.pos,
-				End:     e.end,
-				Message: flowMessage(in, e, wallclock),
-			})
+			pass.Reportf(e.pos, "%s %s transitively reaches %s (%s); determinism-scoped code must %s",
+				verb, shortFuncName(e.callee.FullName()), what, in.chain(e.callee, wallclock), seam)
 		}
 	}
-	return nil
-}
-
-func flowMessage(in *Interp, e edge, wallclock bool) string {
-	verb := "call to"
-	if e.isRef {
-		verb = "reference to"
-	}
-	chain := in.Chain(e.callee, wallclock)
-	if wallclock {
-		return fmt.Sprintf("%s %s transitively reaches the wall clock (%s); determinism-scoped code must take time through the sim.Clock seam",
-			verb, shortFuncName(e.callee.FullName()), chain)
-	}
-	return fmt.Sprintf("%s %s transitively reaches ad-hoc randomness (%s); determinism-scoped code must draw from the seeded sim.Source stream",
-		verb, shortFuncName(e.callee.FullName()), chain)
 }

@@ -2,24 +2,21 @@ package lint
 
 import (
 	"fmt"
-	"go/format"
 	"go/token"
+	"go/types"
 	"os"
 	"sort"
 	"strings"
 )
 
-// The standalone driver behind cmd/ellint: load packages, apply the
-// ruleset, collect findings, optionally apply suggested fixes.
+// The driver behind cmd/ellint: load packages, summarize them, apply the
+// ruleset, collect findings.
 
-// A Finding is one reported diagnostic with resolved positions.
+// A Finding is one reported diagnostic with a resolved position.
 type Finding struct {
 	Analyzer string
 	Pos      token.Position
 	Message  string
-
-	fixes []SuggestedFix
-	fset  *token.FileSet
 }
 
 // String renders the finding in the conventional file:line:col form.
@@ -27,43 +24,9 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s: %s", f.Pos, f.Analyzer, f.Message)
 }
 
-// HasFix reports whether the finding carries a mechanical fix.
-func (f Finding) HasFix() bool { return len(f.fixes) > 0 }
-
-// A factStore computes interprocedural facts demand-first over the
-// loader's package graph: a package's dependencies are summarized
-// before the package itself, so cross-package taint (experiments →
-// realdev → time.Now) resolves no matter what order patterns matched.
-type factStore struct {
-	loader *Loader
-	facts  *Facts
-	interp map[string]*Interp // by full import path
-}
-
-func newFactStore(loader *Loader) *factStore {
-	return &factStore{loader: loader, facts: NewFacts(), interp: make(map[string]*Interp)}
-}
-
-// ensure returns the package's Interp, computing (and exporting into
-// the shared fact set) its dependencies' summaries first. The loader
-// already rejected import cycles, so the recursion terminates.
-func (s *factStore) ensure(pkg *Package) *Interp {
-	if in, ok := s.interp[pkg.PkgPath]; ok {
-		return in
-	}
-	for _, imp := range pkg.Imports {
-		if dep := s.loader.Lookup(imp); dep != nil {
-			s.ensure(dep)
-		}
-	}
-	in := NewInterp(s.loader.Fset, pkg.Files, pkg.Types, pkg.Info, s.facts)
-	s.interp[pkg.PkgPath] = in
-	s.facts.Add(in.Export(SealsRng(pkg.Rel)))
-	return in
-}
-
 // Run loads the packages matched by patterns under dir's module and
-// applies the full ruleset, returning findings sorted by position. Type
+// applies the full ruleset, returning findings sorted by position. An
+// //ellint:allow that names no rule in Ruleset is a finding too. Type
 // errors in any loaded package abort the run: analyzer output over broken
 // code is unreliable.
 func Run(dir string, patterns []string) ([]Finding, error) {
@@ -75,29 +38,30 @@ func Run(dir string, patterns []string) ([]Finding, error) {
 	if err != nil {
 		return nil, err
 	}
-	store := newFactStore(loader)
-	var findings []Finding
-	for _, pkg := range pkgs {
+	// One summary table serves the whole run. The loader lists every
+	// package after its module imports, so a package's callees are
+	// summarized before it and cross-package taint (experiments →
+	// realdev → time.Now) resolves whatever order the patterns matched in.
+	sums := make(map[*types.Func]*FuncSummary)
+	interps := make(map[*Package]*Interp, len(loader.order))
+	for _, pkg := range loader.order {
 		if len(pkg.TypeErrors) > 0 {
 			return nil, fmt.Errorf("%s: type errors: %v", pkg.PkgPath, pkg.TypeErrors[0])
 		}
-		ctx := &Context{Rel: pkg.Rel, Interp: store.ensure(pkg)}
+		interps[pkg] = NewInterp(loader.Fset, pkg.Files, pkg.Info, sums, SealsRng(pkg.Rel))
+	}
+	var findings []Finding
+	report := func(diags []Diagnostic) {
+		for _, d := range diags {
+			findings = append(findings, Finding{Analyzer: d.Category, Pos: loader.Fset.Position(d.Pos), Message: d.Message})
+		}
+	}
+	for _, pkg := range pkgs {
+		in := interps[pkg]
+		report(in.badAllows)
 		for _, rule := range Ruleset {
-			if !rule.Scope.Applies(pkg.Rel) {
-				continue
-			}
-			diags, err := Check(rule.Analyzer, loader.Fset, pkg.Files, pkg.Types, pkg.Info, ctx)
-			if err != nil {
-				return nil, err
-			}
-			for _, d := range diags {
-				findings = append(findings, Finding{
-					Analyzer: d.Category,
-					Pos:      loader.Fset.Position(d.Pos),
-					Message:  d.Message,
-					fixes:    d.SuggestedFixes,
-					fset:     loader.Fset,
-				})
+			if rule.Scope.Applies(pkg.Rel) {
+				report(Check(rule.Analyzer, in))
 			}
 		}
 	}
@@ -117,73 +81,15 @@ func Run(dir string, patterns []string) ([]Finding, error) {
 	return findings, nil
 }
 
-// ApplyFixes applies every suggested fix among findings to the files on
-// disk, gofmt-ing the result. Returns the rewritten file names. Edits are
-// applied highest-offset first so positions stay valid; overlapping fixes
-// in one file are rejected.
-func ApplyFixes(findings []Finding) ([]string, error) {
-	type edit struct {
-		lo, hi  int
-		newText []byte
-	}
-	byFile := make(map[string][]edit)
-	for _, f := range findings {
-		for _, fix := range f.fixes {
-			for _, te := range fix.TextEdits {
-				file := f.fset.File(te.Pos)
-				if file == nil {
-					return nil, fmt.Errorf("%s: fix position outside loaded files", f.Pos)
-				}
-				byFile[file.Name()] = append(byFile[file.Name()], edit{
-					lo:      file.Offset(te.Pos),
-					hi:      file.Offset(te.End),
-					newText: te.NewText,
-				})
-			}
-		}
-	}
-	var rewritten []string
-	for name, edits := range byFile {
-		sort.Slice(edits, func(i, j int) bool { return edits[i].lo > edits[j].lo })
-		for i := 1; i < len(edits); i++ {
-			if edits[i].hi > edits[i-1].lo {
-				return nil, fmt.Errorf("%s: overlapping suggested fixes", name)
-			}
-		}
-		data, err := os.ReadFile(name)
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range edits {
-			data = append(data[:e.lo:e.lo], append(e.newText, data[e.hi:]...)...)
-		}
-		formatted, err := format.Source(data)
-		if err != nil {
-			return nil, fmt.Errorf("%s: fixed source does not format: %w", name, err)
-		}
-		if err := os.WriteFile(name, formatted, 0o644); err != nil {
-			return nil, err
-		}
-		rewritten = append(rewritten, name)
-	}
-	sort.Strings(rewritten)
-	return rewritten, nil
-}
-
 // FormatFindings renders findings one per line, relative to dir when
 // possible, for terminal output.
 func FormatFindings(findings []Finding, dir string) string {
 	var b strings.Builder
 	for _, f := range findings {
-		pos := f.Pos
-		if rel, ok := strings.CutPrefix(pos.Filename, dir+string(os.PathSeparator)); ok {
-			pos.Filename = rel
+		if rel, ok := strings.CutPrefix(f.Pos.Filename, dir+string(os.PathSeparator)); ok {
+			f.Pos.Filename = rel
 		}
-		fmt.Fprintf(&b, "%s: %s: %s", pos, f.Analyzer, f.Message)
-		if f.HasFix() {
-			b.WriteString(" (mechanical fix available: rerun with -fix)")
-		}
-		b.WriteByte('\n')
+		fmt.Fprintln(&b, f)
 	}
 	return b.String()
 }

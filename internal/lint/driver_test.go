@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -163,54 +164,41 @@ func TestRunRejectsTypeErrors(t *testing.T) {
 	}
 }
 
-func TestApplyFixesRewritesMapOrder(t *testing.T) {
+// TestUnknownAllowIsAFinding: an //ellint:allow naming a rule Ruleset
+// does not define suppresses nothing, so it is reported rather than left
+// to claim an audit no rule performs — in every package, whatever the
+// rules' scopes, while the known rule in the same list still suppresses.
+func TestUnknownAllowIsAFinding(t *testing.T) {
 	root := writeTempModule(t, map[string]string{
 		"go.mod": tempGoMod,
-		"dump.go": `package det
+		"clock.go": `package det
 
-import (
-	"fmt"
-	"sort"
-)
+import "time"
 
-func Dump(counts map[string]int) {
-	for name, n := range counts {
-		fmt.Printf("%s %d\n", name, n)
-	}
+func Stamp() time.Time {
+	return time.Now() //ellint:allow wallclock,wallclok typo beside a real rule
 }
+`,
+		// realdev is outside wallclock's scope; the allow check is not.
+		"internal/realdev/d.go": `package realdev
 
-func keep(xs []string) { sort.Strings(xs) }
+//ellint:allow floatorder a rule that no longer exists
+func Sum(xs []float64) float64 { return xs[0] }
 `,
 	})
 	findings, err := Run(root, []string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(findings) != 1 || !findings[0].HasFix() {
-		t.Fatalf("findings = %v, want one maporder finding with a fix", findings)
+	var got []string
+	for _, f := range findings {
+		got = append(got, fmt.Sprintf("%s@%d", f.Analyzer, f.Pos.Line))
+		if !strings.Contains(f.Message, "unknown rule") {
+			t.Errorf("unexpected finding: %s", f)
+		}
 	}
-	fixed, err := ApplyFixes(findings)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fixed) != 1 {
-		t.Fatalf("ApplyFixes rewrote %v, want one file", fixed)
-	}
-	data, err := os.ReadFile(filepath.Join(root, "dump.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := string(data)
-	if !strings.Contains(src, "sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })") {
-		t.Errorf("fixed source lacks sorted-keys loop:\n%s", src)
-	}
-	// The rewritten tree must now satisfy the whole contract.
-	findings, err = Run(root, []string{"./..."})
-	if err != nil {
-		t.Fatalf("fixed tree does not load: %v", err)
-	}
-	if len(findings) != 0 {
-		t.Errorf("fixed tree still has findings: %v", findings)
+	if want := "allow@6 allow@3"; strings.Join(got, " ") != want {
+		t.Errorf("findings = %v, want %s", got, want)
 	}
 }
 

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
 )
@@ -16,12 +15,8 @@ import (
 // question, not a lint error.
 var ErrsinkAnalyzer = &Analyzer{
 	Name: "errsink",
-	Doc: "flags discarded errors on the durability path (os.File Write/Sync/Close/Truncate, os.WriteFile, os.Rename)\n\n" +
-		"A swallowed write or fsync error means the log silently diverges from\n" +
-		"what the caller was promised is durable. Propagate the error (the\n" +
-		"device's completion callbacks carry one), or annotate a provably\n" +
-		"harmless site with //ellint:allow errsink and say why.",
-	Run: runErrsink,
+	Doc:  "flags discarded errors on the durability path (os.File Write/Sync/Close/Truncate, os.WriteFile, os.Rename, os.Remove)",
+	Run:  runErrsink,
 }
 
 // errsinkFileMethods is the os.File durability surface.
@@ -77,18 +72,14 @@ func durabilityCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 	return "", false
 }
 
-func runErrsink(pass *Pass) error {
+func runErrsink(pass *Pass) {
 	info := pass.TypesInfo
 	flag := func(call *ast.CallExpr, form string) {
 		name, ok := durabilityCall(info, call)
 		if !ok {
 			return
 		}
-		pass.Report(Diagnostic{
-			Pos:     call.Pos(),
-			End:     call.End(),
-			Message: fmt.Sprintf("%s error from %s on the durability path; a swallowed I/O error here is silent data loss", form, name),
-		})
+		pass.Reportf(call.Pos(), "%s error from %s on the durability path; a swallowed I/O error here is silent data loss", form, name)
 	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -119,5 +110,4 @@ func runErrsink(pass *Pass) error {
 			return true
 		})
 	}
-	return nil
 }

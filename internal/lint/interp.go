@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -15,12 +14,10 @@ import (
 // call hops, so the flow analyzers (detflow, rngflow) can flag the caller
 // that launders the dependency through a wrapper.
 //
-// Summaries cross package boundaries as Facts: the standalone driver
-// computes them for dependencies on demand from the loader's graph, and
-// the vet-tool driver serializes them through cmd/go's .vetx files (the
-// same channel x/tools analysis facts ride). Functions are keyed by
-// types.Func.FullName, which is stable across source and export-data
-// type-checking.
+// Summaries cross package boundaries through one table the driver fills
+// in dependency order. The table is keyed by *types.Func: the loader
+// shares each module package's *types.Package with its importers, so a
+// function is the same key in its own package and in every caller.
 //
 // Resolution rules, deliberately conservative in opposite directions:
 //
@@ -42,117 +39,81 @@ import (
 // clean rather than needing annotations all the way up the call chain.
 
 // A TaintPath explains why a function is tainted: the forbidden root it
-// reaches and the first call hop on the way there ("" when the root is
+// reaches and the first call hop on the way there (nil when the root is
 // referenced directly in the function's own body).
 type TaintPath struct {
-	Root string `json:"root"`          // e.g. "time.Now" or "rand.IntN"
-	Via  string `json:"via,omitempty"` // FullName of the callee hop
+	Root string // e.g. "time.Now" or "rand.IntN"
+	Via  *types.Func
 }
 
 // A FuncSummary is what one function's body means to its callers.
 type FuncSummary struct {
 	// Wallclock is non-nil when the function transitively reaches a
 	// wall-clock read or timer (the wallclockForbidden set).
-	Wallclock *TaintPath `json:"wallclock,omitempty"`
+	Wallclock *TaintPath
 	// Rng is non-nil when the function transitively reaches the global
 	// math/rand source or ad-hoc generator construction.
-	Rng *TaintPath `json:"rng,omitempty"`
-	// Spawns reports that the body contains a go statement.
-	Spawns bool `json:"spawns,omitempty"`
-	// Dropped counts call statements whose final error result is
-	// silently discarded (any callee, not just the durability surface
-	// errsink polices).
-	Dropped int `json:"dropped_errors,omitempty"`
+	Rng *TaintPath
 }
 
-// PkgFacts is the serialized interprocedural knowledge of one package —
-// the wire format stored in .vetx files and in the standalone driver's
-// fact store.
-type PkgFacts struct {
-	// Funcs maps types.Func FullName to its summary.
-	Funcs map[string]*FuncSummary `json:"funcs,omitempty"`
-	// Atomic lists IDs (pkgpath.Type.field or pkgpath.var) of fields and
-	// package variables accessed through sync/atomic somewhere in the
-	// package.
-	Atomic []string `json:"atomic,omitempty"`
-}
-
-// Facts aggregates imported summaries across dependency packages.
-type Facts struct {
-	funcs  map[string]*FuncSummary
-	atomic map[string]bool
-}
-
-// NewFacts returns an empty fact set.
-func NewFacts() *Facts {
-	return &Facts{funcs: make(map[string]*FuncSummary), atomic: make(map[string]bool)}
-}
-
-// Add merges one package's facts.
-func (f *Facts) Add(pf PkgFacts) {
-	for name, sum := range pf.Funcs {
-		f.funcs[name] = sum
+// taint returns the summary's wall-clock or RNG path; nil-safe, since
+// functions without a body in the module (stdlib, interface methods)
+// have no summary.
+func (s *FuncSummary) taint(wallclock bool) *TaintPath {
+	switch {
+	case s == nil:
+		return nil
+	case wallclock:
+		return s.Wallclock
 	}
-	for _, id := range pf.Atomic {
-		f.atomic[id] = true
-	}
+	return s.Rng
 }
-
-// Summary returns the imported summary for a function FullName, or nil.
-func (f *Facts) Summary(fullName string) *FuncSummary { return f.funcs[fullName] }
-
-// AtomicID reports whether the field/var ID was seen under sync/atomic
-// in any imported package.
-func (f *Facts) AtomicID(id string) bool { return f.atomic[id] }
 
 // An edge is one resolved call (or function-value reference) site.
 type edge struct {
 	callee *types.Func
 	pos    token.Pos
-	end    token.Pos
 	isRef  bool // referenced as a value rather than called
 }
 
-// Interp is the per-package interprocedural context handed to analyzers
-// with NeedsInterp set.
+// Interp is one package's interprocedural context: its call edges, its
+// allow annotations, and the run's shared summary table.
 type Interp struct {
-	fset  *token.FileSet
-	pkg   *types.Package
-	info  *types.Info
-	facts *Facts
+	fset    *token.FileSet
+	files   []*ast.File
+	info    *types.Info
+	sealRng bool
 
 	funcs []*types.Func // declared functions, source order
-	decls map[*types.Func]*ast.FuncDecl
 	sums  map[*types.Func]*FuncSummary
 	edges map[*types.Func][]edge
 
-	// byName indexes local summaries for chain rendering.
-	byName map[string]*FuncSummary
-
-	// atomics is the package's atomic/plain field-access table, shared
-	// with the atomicsafety analyzer.
-	atomics *atomicTable
-
-	allows map[string]allowSet
+	allows    map[string]allowSet
+	badAllows []Diagnostic // allows naming no rule in Ruleset
 }
 
-// NewInterp builds the call graph and summaries for one type-checked
-// package. facts supplies dependency summaries and may be nil.
-func NewInterp(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, facts *Facts) *Interp {
-	if facts == nil {
-		facts = NewFacts()
+// NewInterp builds the call graph for one type-checked package and adds
+// its functions' summaries to sums, which must already hold the
+// summaries of every module package it imports (nil starts a fresh
+// table). sealRng marks the packages that own seeded-generator
+// construction (the Ruleset's RngSealPackages): they are the PCG seam, so
+// they record no RNG taint and calling into them is how everyone else is
+// SUPPOSED to obtain randomness. Wall-clock taint is never sealed — the
+// legitimate route to the clock is the sim.Clock interface, not a
+// concrete call into an exempt package.
+func NewInterp(fset *token.FileSet, files []*ast.File, info *types.Info, sums map[*types.Func]*FuncSummary, sealRng bool) *Interp {
+	if sums == nil {
+		sums = make(map[*types.Func]*FuncSummary)
 	}
 	in := &Interp{
-		fset:   fset,
-		pkg:    pkg,
-		info:   info,
-		facts:  facts,
-		decls:  make(map[*types.Func]*ast.FuncDecl),
-		sums:   make(map[*types.Func]*FuncSummary),
-		edges:  make(map[*types.Func][]edge),
-		byName: make(map[string]*FuncSummary),
-		allows: collectAllows(fset, files),
+		fset:    fset,
+		files:   files,
+		info:    info,
+		sealRng: sealRng,
+		sums:    sums,
+		edges:   make(map[*types.Func][]edge),
 	}
+	in.allows, in.badAllows = collectAllows(fset, files)
 	for _, f := range files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -164,18 +125,11 @@ func NewInterp(fset *token.FileSet, files []*ast.File, pkg *types.Package, info 
 				continue
 			}
 			in.funcs = append(in.funcs, fn)
-			in.decls[fn] = fd
-			in.sums[fn] = &FuncSummary{}
+			sums[fn] = &FuncSummary{}
+			in.walkBody(fn, fd)
 		}
 	}
-	for _, fn := range in.funcs {
-		in.walkBody(fn, in.decls[fn])
-	}
 	in.propagate()
-	for _, fn := range in.funcs {
-		in.byName[fn.FullName()] = in.sums[fn]
-	}
-	in.atomics = collectAtomics(fset, files, info, facts)
 	return in
 }
 
@@ -195,10 +149,10 @@ func (in *Interp) allowedAt(pos token.Pos, rules ...string) bool {
 	return false
 }
 
-// walkBody collects taint roots, call edges and local bookkeeping from
-// one function body. Function literals inside the body are attributed to
-// the enclosing declaration: a root inside a closure taints the function
-// that built the closure, which is the conservative direction.
+// walkBody collects taint roots and call edges from one function body.
+// Function literals inside the body are attributed to the enclosing
+// declaration: a root inside a closure taints the function that built the
+// closure, which is the conservative direction.
 func (in *Interp) walkBody(fn *types.Func, fd *ast.FuncDecl) {
 	sum := in.sums[fn]
 	seen := make(map[*ast.Ident]bool) // idents consumed as part of a SelectorExpr
@@ -207,16 +161,6 @@ func (in *Interp) walkBody(fn *types.Func, fd *ast.FuncDecl) {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			called[ast.Unparen(n.Fun)] = true
-		case *ast.GoStmt:
-			sum.Spawns = true
-		case *ast.ExprStmt:
-			if dropsError(in.info, n.X) {
-				sum.Dropped++
-			}
-		case *ast.DeferStmt:
-			if dropsError(in.info, n.Call) {
-				sum.Dropped++
-			}
 		case *ast.SelectorExpr:
 			seen[n.Sel] = true
 			if sel, ok := in.info.Selections[n]; ok {
@@ -262,7 +206,7 @@ func (in *Interp) addRootOrEdge(fn *types.Func, sum *FuncSummary, site ast.Node,
 		}
 		return
 	case "math/rand", "math/rand/v2":
-		if sum.Rng == nil && !in.allowedAt(site.Pos(), "rngsource", "rngflow") {
+		if !in.sealRng && sum.Rng == nil && !in.allowedAt(site.Pos(), "rngsource", "rngflow") {
 			sum.Rng = &TaintPath{Root: "rand." + m.Name()}
 		}
 		return
@@ -274,54 +218,12 @@ func (in *Interp) addEdge(fn *types.Func, callee *types.Func, site ast.Node, isC
 	in.edges[fn] = append(in.edges[fn], edge{
 		callee: callee,
 		pos:    site.Pos(),
-		end:    site.End(),
 		isRef:  !isCall,
 	})
 }
 
-// dropsError reports whether e is a call whose final result is an error
-// that the statement form discards.
-func dropsError(info *types.Info, e ast.Expr) bool {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	tv, ok := info.Types[call]
-	if !ok {
-		return false
-	}
-	return finalIsError(tv.Type)
-}
-
-func finalIsError(t types.Type) bool {
-	if tup, ok := t.(*types.Tuple); ok {
-		if tup.Len() == 0 {
-			return false
-		}
-		t = tup.At(tup.Len() - 1).Type()
-	}
-	return types.Identical(t, types.Universe.Lookup("error").Type())
-}
-
-// SummaryOf resolves a function's summary: local declarations first,
-// then imported facts. Returns nil for functions with no knowledge
-// (stdlib, interface methods, bodyless declarations).
-func (in *Interp) SummaryOf(fn *types.Func) *FuncSummary {
-	if _, ok := in.decls[fn]; ok {
-		return in.sums[fn]
-	}
-	return in.facts.Summary(fn.FullName())
-}
-
-func (in *Interp) summaryByName(name string) *FuncSummary {
-	if s, ok := in.byName[name]; ok {
-		return s
-	}
-	return in.facts.Summary(name)
-}
-
 // propagate runs the transitive-taint fixpoint over the package's call
-// edges. Cross-package callees resolve through the fact store; recursion
+// edges. Cross-package callees resolve through the shared table; recursion
 // converges because taint only ever turns on.
 func (in *Interp) propagate() {
 	for changed := true; changed; {
@@ -329,16 +231,16 @@ func (in *Interp) propagate() {
 		for _, fn := range in.funcs {
 			sum := in.sums[fn]
 			for _, e := range in.edges[fn] {
-				cs := in.SummaryOf(e.callee)
+				cs := in.sums[e.callee]
 				if cs == nil {
 					continue
 				}
 				if sum.Wallclock == nil && cs.Wallclock != nil && !in.allowedAt(e.pos, "detflow") {
-					sum.Wallclock = &TaintPath{Root: cs.Wallclock.Root, Via: e.callee.FullName()}
+					sum.Wallclock = &TaintPath{Root: cs.Wallclock.Root, Via: e.callee}
 					changed = true
 				}
-				if sum.Rng == nil && cs.Rng != nil && !in.allowedAt(e.pos, "rngflow") {
-					sum.Rng = &TaintPath{Root: cs.Rng.Root, Via: e.callee.FullName()}
+				if !in.sealRng && sum.Rng == nil && cs.Rng != nil && !in.allowedAt(e.pos, "rngflow") {
+					sum.Rng = &TaintPath{Root: cs.Rng.Root, Via: e.callee}
 					changed = true
 				}
 			}
@@ -346,57 +248,22 @@ func (in *Interp) propagate() {
 	}
 }
 
-// Export serializes the package's summaries and atomic field set for
-// dependent packages. sealRng strips RNG taint: the packages that own
-// seeded-generator construction (the Ruleset's RngSealPackages) are the
-// PCG seam, so calling into them is how everyone else is SUPPOSED to
-// obtain randomness and must not read as taint. Wall-clock taint is
-// never sealed — the legitimate route to the clock is the sim.Clock
-// interface, not a concrete call into an exempt package.
-func (in *Interp) Export(sealRng bool) PkgFacts {
-	pf := PkgFacts{Funcs: make(map[string]*FuncSummary, len(in.funcs))}
-	for _, fn := range in.funcs {
-		sum := *in.sums[fn]
-		if sealRng {
-			sum.Rng = nil
-		}
-		if sum == (FuncSummary{}) {
-			continue
-		}
-		s := sum
-		pf.Funcs[fn.FullName()] = &s
-	}
-	for id := range in.atomics.atomicIDs {
-		pf.Atomic = append(pf.Atomic, id)
-	}
-	sort.Strings(pf.Atomic)
-	return pf
-}
-
-// Chain renders the call path from a tainted callee down to its root,
+// chain renders the call path from a tainted callee down to its root,
 // e.g. "realdev.Run → (*realdev.Device).syncer → time.Now". Names are
 // trimmed to their package base for readability.
-func (in *Interp) Chain(callee *types.Func, wallclock bool) string {
+func (in *Interp) chain(fn *types.Func, wallclock bool) string {
 	var parts []string
-	name := callee.FullName()
 	for depth := 0; depth < 8; depth++ {
-		parts = append(parts, shortFuncName(name))
-		s := in.summaryByName(name)
-		if s == nil {
-			break
-		}
-		tp := s.Wallclock
-		if !wallclock {
-			tp = s.Rng
-		}
+		parts = append(parts, shortFuncName(fn.FullName()))
+		tp := in.sums[fn].taint(wallclock)
 		if tp == nil {
 			break
 		}
-		if tp.Via == "" {
+		if tp.Via == nil {
 			parts = append(parts, tp.Root)
 			break
 		}
-		name = tp.Via
+		fn = tp.Via
 	}
 	return strings.Join(parts, " → ")
 }

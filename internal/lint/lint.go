@@ -8,32 +8,28 @@
 // per-type map-order bug fixed in PR 4 shows convention leaks. This package
 // turns the contract into machine-checked rules:
 //
-//	wallclock    — no wall-clock time in simulator code (virtual clock only)
-//	rngsource    — every random draw flows from a seeded engine stream
-//	maporder     — no order-dependent effects inside map iteration
-//	nilgate      — optional hook fields are nil-gated at every call site
-//	floatorder   — no float reduction in map- or goroutine-order
-//	detflow      — no transitive wall-clock reach outside the sim.Clock seam
-//	rngflow      — no transitive ad-hoc randomness outside the PCG seam
-//	atomicsafety — atomic state is atomic everywhere, and never copied
-//	goroleak     — real-mode goroutines have a reachable stop signal
-//	errsink      — no discarded errors on the durability path
+//	wallclock — no wall-clock time in simulator code (virtual clock only)
+//	rngsource — every random draw flows from a seeded engine stream
+//	maporder  — no order-dependent effects inside map iteration
+//	nilgate   — optional hook fields are nil-gated at every call site
+//	detflow   — no transitive wall-clock reach outside the sim.Clock seam
+//	rngflow   — no transitive ad-hoc randomness outside the PCG seam
+//	errsink   — no discarded errors on the durability path
 //
-// The first five are local (one function at a time); the last five sit on
-// an interprocedural layer (interp.go) that builds a call graph and
-// per-function summaries, propagated across packages as facts.
+// detflow and rngflow sit on an interprocedural layer (interp.go) that
+// builds a call graph and per-function summaries; the driver (driver.go)
+// fills one summary table for the whole run, dependencies first.
 //
-// The framework mirrors the golang.org/x/tools/go/analysis API (Analyzer,
-// Pass, Diagnostic, SuggestedFix) but is built purely on the standard
-// library's go/ast and go/types so the module keeps zero external
+// The framework mirrors the shape of the golang.org/x/tools/go/analysis
+// API (Analyzer, Pass, Diagnostic) but is built purely on the standard
+// library's go/ast, go/build and go/types so the module keeps zero external
 // dependencies. Analyzers are pure rules; which packages each rule applies
 // to is a driver concern (see ruleset.go), and individual sites are
 // suppressed with an explicit comment (see suppress.go):
 //
 //	//ellint:allow <rule>[,<rule>...] <reason>
 //
-// Run the suite with `go run ./cmd/ellint ./...` or as a vet tool with
-// `go vet -vettool=$(which ellint) ./...`.
+// Run the suite with `go run ./cmd/ellint ./...`.
 package lint
 
 import (
@@ -49,107 +45,46 @@ type Analyzer struct {
 	// suppressions. Lower-case, no spaces.
 	Name string
 
-	// Doc is a one-paragraph description: what the rule forbids and why
-	// the determinism contract needs it.
+	// Doc is one sentence: what the rule forbids and why the determinism
+	// contract needs it.
 	Doc string
 
 	// Run applies the rule to a single type-checked package and reports
 	// findings through the pass.
-	Run func(*Pass) error
-
-	// NeedsInterp marks analyzers that consume the interprocedural
-	// layer; the drivers build (or thread) an Interp into the pass
-	// before running them.
-	NeedsInterp bool
+	Run func(*Pass)
 }
 
 // A Pass provides one analyzer run with a single type-checked package and
-// collects its diagnostics. It deliberately mirrors analysis.Pass.
+// its interprocedural context, and collects its diagnostics.
 type Pass struct {
 	Analyzer  *Analyzer
 	Fset      *token.FileSet
 	Files     []*ast.File
-	Pkg       *types.Package
 	TypesInfo *types.Info
-
-	// Rel is the module-relative package path ("" at the root), when the
-	// driver knows it.
-	Rel string
-
-	// Interp is the package's interprocedural context; non-nil whenever
-	// the analyzer declares NeedsInterp.
-	Interp *Interp
+	Interp    *Interp
 
 	diags []Diagnostic
 }
 
-// A Context carries driver-level state into an analyzer run: the
-// package's module-relative path and, for interprocedural analyzers, a
-// pre-built Interp (typically constructed with cross-package facts).
-type Context struct {
-	Rel    string
-	Interp *Interp
-}
-
-// Report records a diagnostic, stamping the analyzer's name as category.
-func (p *Pass) Report(d Diagnostic) {
-	if d.Category == "" {
-		d.Category = p.Analyzer.Name
-	}
-	p.diags = append(p.diags, d)
-}
-
-// Reportf records a diagnostic at pos with a formatted message.
+// Reportf records a diagnostic at pos with a formatted message, stamping
+// the analyzer's name as its category.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
+	p.diags = append(p.diags, Diagnostic{Pos: pos, Category: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
 }
 
-// A Diagnostic is one finding, optionally carrying mechanical fixes.
+// A Diagnostic is one finding.
 type Diagnostic struct {
 	Pos      token.Pos
-	End      token.Pos // or NoPos
-	Category string    // analyzer name; filled in by Report
+	Category string // analyzer name
 	Message  string
-
-	SuggestedFixes []SuggestedFix
 }
 
-// A SuggestedFix is a mechanical rewrite that resolves the diagnostic.
-// Edits within one fix must not overlap.
-type SuggestedFix struct {
-	Message   string
-	TextEdits []TextEdit
-}
-
-// A TextEdit replaces the source in [Pos, End) with NewText.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText []byte
-}
-
-// run executes a on one package and returns the raw (unsuppressed)
-// diagnostics. A nil ctx is fine: an Interp without cross-package facts
-// is built on demand for analyzers that need one.
-func run(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, ctx *Context) ([]Diagnostic, error) {
-	pass := &Pass{
-		Analyzer:  a,
-		Fset:      fset,
-		Files:     files,
-		Pkg:       pkg,
-		TypesInfo: info,
-	}
-	if ctx != nil {
-		pass.Rel = ctx.Rel
-		pass.Interp = ctx.Interp
-	}
-	if a.NeedsInterp && pass.Interp == nil {
-		pass.Interp = NewInterp(fset, files, pkg, info, nil)
-	}
-	if err := a.Run(pass); err != nil {
-		return nil, fmt.Errorf("%s: %w", a.Name, err)
-	}
-	return pass.diags, nil
+// Check runs analyzer a over the package behind in and returns its
+// diagnostics with //ellint:allow suppressions already applied.
+func Check(a *Analyzer, in *Interp) []Diagnostic {
+	pass := &Pass{Analyzer: a, Fset: in.fset, Files: in.files, TypesInfo: in.info, Interp: in}
+	a.Run(pass)
+	return in.filter(pass.diags)
 }
 
 // NewInfo returns a types.Info with every map analyzers rely on allocated.

@@ -12,15 +12,11 @@
 // diagnostic must in turn be matched by a want. //ellint:allow suppressions
 // are honored, so a fixture line carrying an allow annotation and no want
 // asserts that suppression works.
-//
-// RunWithSuggestedFixes additionally applies every suggested fix and
-// compares the result (gofmt-ed) against the fixture file + ".golden".
 package linttest
 
 import (
 	"fmt"
 	"go/ast"
-	"go/format"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -39,18 +35,32 @@ import (
 // against want comments.
 func Run(t *testing.T, dir string, a *lint.Analyzer) {
 	t.Helper()
-	runFixture(t, dir, a, false)
+	fset, files, in := loadFixture(t, dir)
+	checkWants(t, fset, files, a.Name, lint.Check(a, in))
 }
 
-// RunWithSuggestedFixes is Run plus golden-file verification of the
-// analyzer's suggested fixes.
-func RunWithSuggestedFixes(t *testing.T, dir string, a *lint.Analyzer) {
+// RunCompare loads the fixture once, runs two analyzers over it, and
+// hands their per-line diagnostic sets to check. Want comments are
+// ignored: this exists to assert relationships between two analyzers'
+// coverage (e.g. detflow flags laundered sites wallclock misses, and
+// the two never double-report one line).
+func RunCompare(t *testing.T, dir string, a, b *lint.Analyzer, check func(t *testing.T, aLines, bLines map[int]bool)) {
 	t.Helper()
-	runFixture(t, dir, a, true)
+	fset, _, in := loadFixture(t, dir)
+	lines := func(an *lint.Analyzer) map[int]bool {
+		out := make(map[int]bool)
+		for _, d := range lint.Check(an, in) {
+			out[fset.Position(d.Pos).Line] = true
+		}
+		return out
+	}
+	check(t, lines(a), lines(b))
 }
 
-// loadFixture parses and type-checks the fixture package in dir.
-func loadFixture(t *testing.T, dir string) (*token.FileSet, []*ast.File, *types.Package, *types.Info) {
+// loadFixture parses and type-checks the fixture package in dir and builds
+// its interprocedural context. Fixtures are self-contained, so a fresh
+// summary table is all the context they need.
+func loadFixture(t *testing.T, dir string) (*token.FileSet, []*ast.File, *lint.Interp) {
 	t.Helper()
 	fset := token.NewFileSet()
 	files, err := parseDir(fset, dir)
@@ -63,51 +73,11 @@ func loadFixture(t *testing.T, dir string) (*token.FileSet, []*ast.File, *types.
 		Importer: importer.ForCompiler(fset, "source", nil),
 		Error:    func(err error) { typeErrs = append(typeErrs, err) },
 	}
-	pkgPath := "ellint.test/" + filepath.Base(dir)
-	pkg, _ := conf.Check(pkgPath, fset, files, info)
+	conf.Check("ellint.test/"+filepath.Base(dir), fset, files, info)
 	if len(typeErrs) > 0 {
 		t.Fatalf("fixture %s does not type-check: %v", dir, typeErrs)
 	}
-	return fset, files, pkg, info
-}
-
-func runFixture(t *testing.T, dir string, a *lint.Analyzer, fixes bool) {
-	t.Helper()
-	fset, files, pkg, info := loadFixture(t, dir)
-
-	// nil Context: interprocedural analyzers get a facts-free Interp,
-	// which is exactly right for self-contained fixture packages.
-	diags, err := lint.Check(a, fset, files, pkg, info, nil)
-	if err != nil {
-		t.Fatalf("analyzer %s: %v", a.Name, err)
-	}
-
-	checkWants(t, fset, files, a.Name, diags)
-	if fixes {
-		checkGoldens(t, fset, diags)
-	}
-}
-
-// RunCompare loads the fixture once, runs two analyzers over it, and
-// hands their per-line diagnostic sets to check. Want comments are
-// ignored: this exists to assert relationships between two analyzers'
-// coverage (e.g. detflow flags laundered sites wallclock misses, and
-// the two never double-report one line).
-func RunCompare(t *testing.T, dir string, a, b *lint.Analyzer, check func(t *testing.T, aLines, bLines map[int]bool)) {
-	t.Helper()
-	fset, files, pkg, info := loadFixture(t, dir)
-	lines := func(an *lint.Analyzer) map[int]bool {
-		diags, err := lint.Check(an, fset, files, pkg, info, nil)
-		if err != nil {
-			t.Fatalf("analyzer %s: %v", an.Name, err)
-		}
-		out := make(map[int]bool)
-		for _, d := range diags {
-			out[fset.Position(d.Pos).Line] = true
-		}
-		return out
-	}
-	check(t, lines(a), lines(b))
+	return fset, files, lint.NewInterp(fset, files, info, nil, false)
 }
 
 func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
@@ -211,65 +181,6 @@ func checkWants(t *testing.T, fset *token.FileSet, files []*ast.File, name strin
 			if !matched[key][i] {
 				t.Errorf("%s:%d: no %s diagnostic matching %q", key.file, key.line, name, re)
 			}
-		}
-	}
-}
-
-// checkGoldens applies all suggested fixes per file and compares against
-// the .golden neighbor. Both sides are gofmt-ed before comparison so the
-// generated edits need not reproduce exact indentation.
-func checkGoldens(t *testing.T, fset *token.FileSet, diags []lint.Diagnostic) {
-	t.Helper()
-	type edit struct {
-		lo, hi  int
-		newText []byte
-	}
-	byFile := make(map[string][]edit)
-	for _, d := range diags {
-		for _, fix := range d.SuggestedFixes {
-			for _, te := range fix.TextEdits {
-				file := fset.File(te.Pos)
-				if file == nil {
-					t.Fatalf("fix edit with position outside fixture")
-				}
-				byFile[file.Name()] = append(byFile[file.Name()], edit{
-					lo: file.Offset(te.Pos), hi: file.Offset(te.End), newText: te.NewText,
-				})
-			}
-		}
-	}
-	names := make([]string, 0, len(byFile))
-	for name := range byFile {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		edits := byFile[name]
-		sort.Slice(edits, func(i, j int) bool { return edits[i].lo > edits[j].lo })
-		data, err := os.ReadFile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, e := range edits {
-			if i > 0 && e.hi > edits[i-1].lo {
-				t.Fatalf("%s: overlapping suggested fixes", name)
-			}
-			data = append(data[:e.lo:e.lo], append(e.newText, data[e.hi:]...)...)
-		}
-		got, err := format.Source(data)
-		if err != nil {
-			t.Fatalf("%s: fixed source does not parse: %v\n%s", name, err, data)
-		}
-		goldenBytes, err := os.ReadFile(name + ".golden")
-		if err != nil {
-			t.Fatalf("%s: suggested fixes produced output but no golden file: %v", name, err)
-		}
-		golden, err := format.Source(goldenBytes)
-		if err != nil {
-			t.Fatalf("%s.golden does not parse: %v", name, err)
-		}
-		if string(got) != string(golden) {
-			t.Errorf("%s: fixed output differs from golden:\n--- got ---\n%s\n--- want ---\n%s", name, got, golden)
 		}
 	}
 }

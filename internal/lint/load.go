@@ -1,8 +1,10 @@
 package lint
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -15,8 +17,9 @@ import (
 )
 
 // An offline package loader. The module has zero external dependencies, so
-// the whole load is: enumerate package directories, parse, topologically
-// sort by intra-module imports, and type-check with an importer that
+// the whole load is: enumerate package directories, let go/build pick each
+// one's files for this GOOS/GOARCH and list its imports, parse, load
+// intra-module imports first, and type-check with an importer that
 // resolves module packages from the in-memory graph and standard-library
 // packages from GOROOT source (go/importer's "source" compiler — no
 // network, no pre-built export data needed).
@@ -30,11 +33,7 @@ type Package struct {
 	Types   *types.Package
 	Info    *types.Info
 
-	// Imports lists the package's intra-module imports (full import
-	// paths), for demand-driven fact computation in dependency order.
-	Imports []string
-
-	// TypeErrors collects type-checker complaints. The drivers surface
+	// TypeErrors collects type-checker complaints. The driver surfaces
 	// them: analyzers over a broken package are unreliable.
 	TypeErrors []error
 }
@@ -47,6 +46,7 @@ type Loader struct {
 	modPath string
 	std     types.Importer
 	pkgs    map[string]*Package // by import path, in-flight and done
+	order   []*Package          // every loaded package, after its module imports
 }
 
 // NewLoader locates the module root at or above dir.
@@ -64,12 +64,6 @@ func NewLoader(dir string) (*Loader, error) {
 		pkgs:    make(map[string]*Package),
 	}, nil
 }
-
-// ModulePath returns the module's import path (from go.mod).
-func (l *Loader) ModulePath() string { return l.modPath }
-
-// Lookup returns an already-loaded package by full import path, or nil.
-func (l *Loader) Lookup(pkgPath string) *Package { return l.pkgs[pkgPath] }
 
 var moduleRe = regexp.MustCompile(`(?m)^module\s+(\S+)`)
 
@@ -156,10 +150,8 @@ func (l *Loader) expand(patterns []string) ([]string, error) {
 				if path != base && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
 					return filepath.SkipDir
 				}
-				if hasGoFiles(path) {
-					r, _ := filepath.Rel(l.root, path)
-					add(r)
-				}
+				r, _ := filepath.Rel(l.root, path)
+				add(r)
 				return nil
 			})
 			if err != nil {
@@ -178,23 +170,9 @@ func (l *Loader) expand(patterns []string) ([]string, error) {
 	return rels, nil
 }
 
-func hasGoFiles(dir string) bool {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
-			return true
-		}
-	}
-	return false
-}
-
 // loadRel loads the package in module-relative dir rel (and, recursively,
 // its intra-module imports). stack carries the DFS path for cycle reports.
-// Returns nil for directories with no non-test Go files.
+// Returns nil for directories with no non-test Go files for this platform.
 func (l *Loader) loadRel(rel string, stack []string) (*Package, error) {
 	pkgPath := l.modPath
 	if rel != "" {
@@ -206,65 +184,43 @@ func (l *Loader) loadRel(rel string, stack []string) (*Package, error) {
 		}
 		return pkg, nil
 	}
-	l.pkgs[pkgPath] = nil // in-flight marker
 	dir := filepath.Join(l.root, filepath.FromSlash(rel))
-
-	entries, err := os.ReadDir(dir)
+	bp, err := build.ImportDir(dir, 0)
+	var noGo *build.NoGoError
+	if errors.As(err, &noGo) || (err == nil && len(bp.GoFiles) == 0) {
+		return nil, nil
+	}
 	if err != nil {
 		return nil, err
 	}
-	var files []*ast.File
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		src, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return nil, err
-		}
-		if !fileIncluded(name, src) {
-			continue
-		}
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), src, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		delete(l.pkgs, pkgPath)
-		return nil, nil
-	}
 
 	// Load intra-module imports first so the importer can serve them.
-	var modImports []string
-	seenImp := make(map[string]bool)
-	for _, f := range files {
-		for _, imp := range f.Imports {
-			path := strings.Trim(imp.Path.Value, `"`)
-			if path != l.modPath && !strings.HasPrefix(path, l.modPath+"/") {
-				continue
-			}
-			if !seenImp[path] {
-				seenImp[path] = true
-				modImports = append(modImports, path)
-			}
+	l.pkgs[pkgPath] = nil // in-flight marker
+	for _, path := range bp.Imports {
+		if path == l.modPath || strings.HasPrefix(path, l.modPath+"/") {
 			depRel := strings.TrimPrefix(strings.TrimPrefix(path, l.modPath), "/")
 			if _, err := l.loadRel(depRel, append(stack, pkgPath)); err != nil {
 				return nil, err
 			}
 		}
 	}
-	sort.Strings(modImports)
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
 
-	pkg := &Package{PkgPath: pkgPath, Rel: rel, Dir: dir, Files: files, Info: NewInfo(), Imports: modImports}
+	pkg := &Package{PkgPath: pkgPath, Rel: rel, Dir: dir, Files: files, Info: NewInfo()}
 	conf := types.Config{
 		Importer: (*loaderImporter)(l),
 		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
 	}
 	pkg.Types, _ = conf.Check(pkgPath, l.Fset, files, pkg.Info)
 	l.pkgs[pkgPath] = pkg
+	l.order = append(l.order, pkg)
 	return pkg, nil
 }
 

@@ -1,11 +1,9 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"os"
 	"strings"
 )
 
@@ -18,6 +16,9 @@ import (
 // Order-dependent effects recognized in the body:
 //   - appending to a slice declared outside the loop
 //   - concatenating onto a string declared outside the loop
+//   - accumulating into a float declared outside the loop (`sum += v`,
+//     -=, *=, /=, or `sum = sum + v`): float arithmetic is not
+//     associative, so a different order is a different sum in the low bits
 //   - sending on a channel
 //   - calling a sink method (Write*, Emit, Encode, Schedule, Print*) or a
 //     fmt printing function
@@ -33,18 +34,14 @@ import (
 //	sort.Strings(names)
 //
 // and collect-structs-then-sort (rows sorted by a field afterwards). Loops
-// whose body only reads, counts, or writes other maps are
-// order-independent and not flagged. Where the key type is ordered and the
-// file imports "sort", the analyzer attaches a suggested fix that rewrites
-// the loop to iterate over sorted keys (apply with `ellint -fix`).
+// whose body only reads, counts integers, or writes other maps are
+// order-independent and not flagged.
 
 // MaporderAnalyzer implements the maporder rule.
 var MaporderAnalyzer = &Analyzer{
 	Name: "maporder",
-	Doc: "flag map iteration with order-dependent effects (slice appends, sink " +
-		"writes, event scheduling); map order is randomized per run, so such " +
-		"loops must iterate over sorted keys to keep replays bit-identical.",
-	Run: runMaporder,
+	Doc:  "flags map iteration with order-dependent effects (appends, string or float accumulation, sink writes, sends): map order is randomized per run",
+	Run:  runMaporder,
 }
 
 // sinkMethods are method names whose call inside a map-range body is
@@ -65,7 +62,7 @@ var sinkMethods = map[string]bool{
 	"Fprintln":    true,
 }
 
-func runMaporder(pass *Pass) error {
+func runMaporder(pass *Pass) {
 	for _, f := range pass.Files {
 		parents := buildParents([]*ast.File{f})
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -77,30 +74,19 @@ func runMaporder(pass *Pass) error {
 			if !ok {
 				return true
 			}
-			mapType, isMap := tv.Type.Underlying().(*types.Map)
-			if !isMap {
+			if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
 				return true
 			}
 			effects := orderEffects(pass, parents, rng)
 			if len(effects) == 0 {
 				return true
 			}
-			d := Diagnostic{
-				Pos: rng.For,
-				End: rng.X.End(),
-				Message: fmt.Sprintf(
-					"iteration over map %s has order-dependent effects (%s); map order "+
-						"is randomized per run — iterate over sorted keys",
-					exprText(pass.Fset, rng.X), strings.Join(effects, ", ")),
-			}
-			if fix, ok := sortedKeysFix(pass, f, rng, mapType); ok {
-				d.SuggestedFixes = []SuggestedFix{fix}
-			}
-			pass.Report(d)
+			pass.Reportf(rng.For, "iteration over map %s has order-dependent effects (%s); map order "+
+				"is randomized per run — iterate over sorted keys",
+				exprText(pass.Fset, rng.X), strings.Join(effects, ", "))
 			return true
 		})
 	}
-	return nil
 }
 
 // appendTarget returns the object a statement `s = append(s, ...)` appends
@@ -153,11 +139,10 @@ func orderEffects(pass *Pass, parents parentMap, rng *ast.RangeStmt) []string {
 				}
 				return true
 			}
-			// String concatenation onto outer state: x += e or x = x + e.
-			// (Float accumulation is the floatorder rule's concern.)
-			if len(n.Lhs) == 1 && isStringConcat(pass, n) {
+			// String concatenation or float accumulation onto outer state.
+			if verb := accumVerb(pass, n); verb != "" {
 				if obj := lhsObject(pass, n.Lhs[0]); obj != nil && !declaredWithin(obj, rng) {
-					add("concatenates onto " + exprText(pass.Fset, n.Lhs[0]))
+					add(verb + exprText(pass.Fset, n.Lhs[0]))
 				}
 			}
 		case *ast.SendStmt:
@@ -179,25 +164,40 @@ func orderEffects(pass *Pass, parents parentMap, rng *ast.RangeStmt) []string {
 	return effects
 }
 
-// isStringConcat reports whether assign is `x += e` or `x = x + ...` with a
-// string-typed left-hand side.
-func isStringConcat(pass *Pass, assign *ast.AssignStmt) bool {
+// accumVerb describes assign when it folds a value into its target in an
+// order-dependent way: string concatenation (x += e, x = x + e) or float
+// accumulation (x op= e, x = x op e for + - * /). Otherwise it returns "".
+func accumVerb(pass *Pass, assign *ast.AssignStmt) string {
+	if len(assign.Lhs) != 1 || len(assign.Rhs) != 1 {
+		return ""
+	}
 	tv, ok := pass.TypesInfo.Types[assign.Lhs[0]]
 	if !ok {
-		return false
+		return ""
 	}
 	basic, ok := tv.Type.Underlying().(*types.Basic)
-	if !ok || basic.Info()&types.IsString == 0 {
-		return false
+	if !ok {
+		return ""
 	}
-	switch assign.Tok {
-	case token.ADD_ASSIGN:
-		return true
-	case token.ASSIGN:
+	op := assign.Tok
+	if op == token.ASSIGN {
 		bin, ok := ast.Unparen(assign.Rhs[0]).(*ast.BinaryExpr)
-		return ok && bin.Op == token.ADD && sameObjectExpr(pass, assign.Lhs[0], bin.X)
+		if !ok || !sameObjectExpr(pass, assign.Lhs[0], bin.X) {
+			return ""
+		}
+		op = bin.Op
 	}
-	return false
+	switch {
+	case basic.Info()&types.IsString != 0 && (op == token.ADD || op == token.ADD_ASSIGN):
+		return "concatenates onto "
+	case basic.Info()&types.IsFloat != 0:
+		switch op {
+		case token.ADD, token.SUB, token.MUL, token.QUO,
+			token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
+			return "accumulates float into "
+		}
+	}
+	return ""
 }
 
 // lhsObject resolves an assignment target to its object (ident or field).
@@ -280,111 +280,4 @@ func sortsObject(pass *Pass, stmt ast.Stmt, obj types.Object) bool {
 		return !found
 	})
 	return found
-}
-
-// sortedKeysFix builds the mechanical rewrite to a sorted-keys loop. It is
-// offered only when the rewrite is clearly safe: the key is a fresh ident
-// of ordered basic type (string or integer), the map expression is a simple
-// ident or selector (evaluated twice by the rewrite), and the file already
-// imports "sort".
-func sortedKeysFix(pass *Pass, f *ast.File, rng *ast.RangeStmt, mapType *types.Map) (SuggestedFix, bool) {
-	if rng.Tok != token.DEFINE {
-		return SuggestedFix{}, false
-	}
-	key, ok := rng.Key.(*ast.Ident)
-	if !ok || key.Name == "_" {
-		return SuggestedFix{}, false
-	}
-	basic, ok := mapType.Key().Underlying().(*types.Basic)
-	if !ok || basic.Info()&(types.IsString|types.IsInteger) == 0 {
-		return SuggestedFix{}, false
-	}
-	switch ast.Unparen(rng.X).(type) {
-	case *ast.Ident, *ast.SelectorExpr:
-	default:
-		return SuggestedFix{}, false
-	}
-	if !importsPath(f, "sort") {
-		return SuggestedFix{}, false
-	}
-	body, ok := sourceRange(pass.Fset, rng.Body.Lbrace+1, rng.Body.Rbrace)
-	if !ok {
-		return SuggestedFix{}, false
-	}
-
-	keysName := "keys"
-	if identDeclaredInFile(pass, f, keysName) {
-		keysName = "sortedKeys"
-		if identDeclaredInFile(pass, f, keysName) {
-			return SuggestedFix{}, false
-		}
-	}
-	qual := func(p *types.Package) string {
-		if p == pass.Pkg {
-			return ""
-		}
-		return p.Name()
-	}
-	mapText := exprText(pass.Fset, rng.X)
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s := make([]%s, 0, len(%s))\n", keysName, types.TypeString(mapType.Key(), qual), mapText)
-	fmt.Fprintf(&b, "for %s := range %s {\n%s = append(%s, %s)\n}\n", key.Name, mapText, keysName, keysName, key.Name)
-	fmt.Fprintf(&b, "sort.Slice(%s, func(i, j int) bool { return %s[i] < %s[j] })\n", keysName, keysName, keysName)
-	fmt.Fprintf(&b, "for _, %s := range %s {\n", key.Name, keysName)
-	if v, ok := rng.Value.(*ast.Ident); ok && v.Name != "_" {
-		fmt.Fprintf(&b, "%s := %s[%s]\n", v.Name, mapText, key.Name)
-	}
-	b.WriteString(strings.TrimRight(body, "\n\t "))
-	b.WriteString("\n}")
-
-	return SuggestedFix{
-		Message: "iterate over sorted keys",
-		TextEdits: []TextEdit{{
-			Pos:     rng.Pos(),
-			End:     rng.End(),
-			NewText: []byte(b.String()),
-		}},
-	}, true
-}
-
-// importsPath reports whether file f imports the given path.
-func importsPath(f *ast.File, path string) bool {
-	for _, imp := range f.Imports {
-		if strings.Trim(imp.Path.Value, `"`) == path {
-			return true
-		}
-	}
-	return false
-}
-
-// identDeclaredInFile reports whether name is declared anywhere in f.
-func identDeclaredInFile(pass *Pass, f *ast.File, name string) bool {
-	found := false
-	ast.Inspect(f, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && id.Name == name {
-			if pass.TypesInfo.Defs[id] != nil {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// sourceRange reads the raw source text between two positions, preserving
-// comments that go/printer would drop.
-func sourceRange(fset *token.FileSet, from, to token.Pos) (string, bool) {
-	file := fset.File(from)
-	if file == nil || fset.File(to) != file {
-		return "", false
-	}
-	data, err := os.ReadFile(file.Name())
-	if err != nil {
-		return "", false
-	}
-	lo, hi := file.Offset(from), file.Offset(to)
-	if lo < 0 || hi > len(data) || lo > hi {
-		return "", false
-	}
-	return string(data[lo:hi]), true
 }

@@ -29,17 +29,14 @@ import (
 // NilgateAnalyzer implements the nilgate rule.
 var NilgateAnalyzer = &Analyzer{
 	Name: "nilgate",
-	Doc: "optional hook fields (func- or interface-typed struct fields that the " +
-		"package nil-checks somewhere) must be nil-gated at every call site, " +
-		"preserving the guarantee that faults-off/untraced runs are " +
-		"byte-identical to instrumented ones.",
-	Run: runNilgate,
+	Doc:  "optional hook fields (func- or interface-typed fields the package nil-checks somewhere) must be nil-gated at every call site",
+	Run:  runNilgate,
 }
 
-func runNilgate(pass *Pass) error {
+func runNilgate(pass *Pass) {
 	nullable := nullableFields(pass)
 	if len(nullable) == 0 {
-		return nil
+		return
 	}
 	parents := buildParents(pass.Files)
 	for _, f := range pass.Files {
@@ -55,19 +52,13 @@ func runNilgate(pass *Pass) error {
 			if guarded(pass, parents, call, field) {
 				return true
 			}
-			pass.Report(Diagnostic{
-				Pos: fieldExpr.Pos(),
-				End: call.End(),
-				Message: "call through optional hook field " +
-					exprText(pass.Fset, fieldExpr) + " is not nil-gated; the field " +
-					"is nil-checked elsewhere in this package, so an unguarded call " +
-					"panics when the hook is unset (guard with `if " +
-					exprText(pass.Fset, fieldExpr) + " != nil`)",
-			})
+			text := exprText(pass.Fset, fieldExpr)
+			pass.Reportf(fieldExpr.Pos(), "call through optional hook field %s is not nil-gated; the field "+
+				"is nil-checked elsewhere in this package, so an unguarded call "+
+				"panics when the hook is unset (guard with `if %s != nil`)", text, text)
 			return true
 		})
 	}
-	return nil
 }
 
 // nullableFields collects func- or interface-typed struct fields that the

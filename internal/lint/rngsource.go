@@ -31,14 +31,11 @@ var rngConstructors = map[string]bool{
 // RngsourceAnalyzer implements the rngsource rule.
 var RngsourceAnalyzer = &Analyzer{
 	Name: "rngsource",
-	Doc: "forbid math/rand global functions and ad-hoc generator construction; " +
-		"every random draw must flow from a seeded engine stream " +
-		"(sim.Engine.Rand) so replay tooling can reproduce it. internal/sim and " +
-		"internal/fault, which own seeding, are exempt via the driver ruleset.",
-	Run: runRngsource,
+	Doc:  "forbids math/rand global functions and ad-hoc generator construction: every draw flows from a seeded engine stream",
+	Run:  runRngsource,
 }
 
-func runRngsource(pass *Pass) error {
+func runRngsource(pass *Pass) {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
@@ -57,24 +54,15 @@ func runRngsource(pass *Pass) error {
 			}
 			name := fn.Name()
 			if rngConstructors[name] {
-				pass.Report(Diagnostic{
-					Pos: sel.Pos(),
-					End: sel.End(),
-					Message: "rand." + name + " constructs a generator outside the " +
-						"seeded engine plumbing; draw from sim.Engine.Rand (RNG " +
-						"construction lives in internal/sim and internal/fault)",
-				})
+				pass.Reportf(sel.Pos(), "rand.%s constructs a generator outside the "+
+					"seeded engine plumbing; draw from sim.Engine.Rand (RNG "+
+					"construction lives in internal/sim and internal/fault)", name)
 			} else {
-				pass.Report(Diagnostic{
-					Pos: sel.Pos(),
-					End: sel.End(),
-					Message: "rand." + name + " draws from the process-global source, " +
-						"which is seeded nondeterministically; use the engine's " +
-						"seeded stream (sim.Engine.Rand)",
-				})
+				pass.Reportf(sel.Pos(), "rand.%s draws from the process-global source, "+
+					"which is seeded nondeterministically; use the engine's "+
+					"seeded stream (sim.Engine.Rand)", name)
 			}
 			return true
 		})
 	}
-	return nil
 }

@@ -1,17 +1,12 @@
 package lint
 
-import (
-	"go/ast"
-	"go/token"
-	"go/types"
-	"strings"
-)
+import "strings"
 
 // The analyzers are pure rules; this file is the policy layer deciding
 // where each rule applies. Scoping is by import path relative to the
 // module root, so the table reads like the contract in DESIGN.md.
 //
-// Test files (_test.go) are excluded wholesale by the drivers: tests may
+// Test files (_test.go) are excluded wholesale by the driver: tests may
 // construct fixed-seed RNGs and wall-time themselves freely, and test
 // determinism is enforced dynamically by the determinism suites
 // (internal/search/determinism_test.go, internal/experiments/...). The
@@ -89,46 +84,35 @@ var Ruleset = []Rule{
 
 	{MaporderAnalyzer, Scope{}},
 	{NilgateAnalyzer, Scope{}},
-	// floatorder also polices the PDES barrier contract: float sums that
-	// cross LPs (aggregate stats, merged histograms) must fold in LP index
-	// order at a barrier, never in goroutine-completion order — addition
-	// over different orders is a different float.
-	{FloatorderAnalyzer, Scope{}},
 
 	// The interprocedural rules. detflow/rngflow inherit their local
 	// twins' scopes: the wall-clock-owning packages cannot meaningfully
 	// be forbidden from *reaching* the wall clock, and the RNG-owning
 	// packages are the seam itself. Note the asymmetry in how taint
-	// crosses INTO the exempt packages' callers: summaries exported by
-	// the RngSealPackages are stripped of RNG taint (calling sim/fault
-	// is how everyone is supposed to obtain randomness), while
-	// wall-clock taint is never stripped — the legitimate route to the
-	// clock is the sim.Clock interface, so a concrete call chain from a
-	// determinism-scoped package into realtime/realdev is a genuine
-	// violation and reports at the first in-scope call site.
+	// crosses INTO the exempt packages' callers: the RngSealPackages
+	// record no RNG taint (calling sim/fault is how everyone is supposed
+	// to obtain randomness), while wall-clock taint is never stripped —
+	// the legitimate route to the clock is the sim.Clock interface, so a
+	// concrete call chain from a determinism-scoped package into
+	// realtime/realdev is a genuine violation and reports at the first
+	// in-scope call site.
 	{DetflowAnalyzer, Scope{Skip: []string{"internal/realdev", "internal/realtime", "internal/obs/live", "cmd/elreal"}}},
 	{RngflowAnalyzer, Scope{Skip: []string{"internal/sim", "internal/fault", "internal/realdev", "internal/realtime", "cmd/elreal"}}},
 
-	// The real-mode concurrency contract. atomicsafety is module-wide:
-	// atomic state exists only in the real-mode packages today, but a
-	// copied atomic or a plain read is a bug wherever it appears.
-	// goroleak and errsink are scoped to the packages that launch
-	// goroutines and own the durability path; elsewhere a goroutine or a
-	// dropped Close error is a style question, not a contract violation.
-	{AtomicsafetyAnalyzer, Scope{}},
-	{GoroleakAnalyzer, Scope{Only: []string{"internal/realdev", "internal/realtime", "internal/obs/live", "cmd/elreal"}}},
+	// errsink is scoped to the packages that own the durability path;
+	// elsewhere a dropped Close error is a style question, not a contract
+	// violation.
 	{ErrsinkAnalyzer, Scope{Only: []string{"internal/realdev", "internal/realtime", "cmd/elreal"}}},
 }
 
 // RngSealPackages are the module-relative packages that own seeded
-// generator construction: their exported function summaries are
-// stripped of RNG taint (see Interp.Export), because calling into them
-// is the sanctioned way to obtain randomness. Kept in sync with
-// rngflow's Skip list by TestRulesetSeamConsistency.
+// generator construction: they record no RNG taint (see NewInterp),
+// because calling into them is the sanctioned way to obtain randomness.
+// Kept in sync with rngflow's Skip list by TestRulesetSeamConsistency.
 var RngSealPackages = []string{"internal/sim", "internal/fault", "internal/realdev", "internal/realtime", "cmd/elreal"}
 
-// SealsRng reports whether a package at module-relative path rel
-// exports RNG-sealed summaries.
+// SealsRng reports whether a package at module-relative path rel is
+// part of the RNG seam.
 func SealsRng(rel string) bool {
 	for _, p := range RngSealPackages {
 		if underPrefix(rel, p) {
@@ -148,14 +132,11 @@ func RuleByName(name string) *Rule {
 	return nil
 }
 
-// Check runs one analyzer over a type-checked package and returns its
-// diagnostics with //ellint:allow suppressions already applied. ctx may
-// be nil; interprocedural analyzers then run with a facts-free Interp
-// built on the spot (package-local taint only).
-func Check(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, ctx *Context) ([]Diagnostic, error) {
-	diags, err := run(a, fset, files, pkg, info, ctx)
-	if err != nil {
-		return nil, err
+// ruleNames lists the Ruleset's rule names, in reporting order.
+func ruleNames() string {
+	names := make([]string, len(Ruleset))
+	for i, r := range Ruleset {
+		names[i] = r.Name
 	}
-	return Filter(fset, files, diags), nil
+	return strings.Join(names, ", ")
 }

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"strings"
@@ -31,8 +32,12 @@ const allowPrefix = "ellint:allow"
 type allowSet map[int]map[string]bool
 
 // collectAllows scans the comments of files for //ellint:allow annotations.
-func collectAllows(fset *token.FileSet, files []*ast.File) map[string]allowSet {
+// It also returns a diagnostic for every rule name an annotation gives
+// that Ruleset does not define: a typo'd or retired rule suppresses
+// nothing, yet the comment claims an audit no rule performs.
+func collectAllows(fset *token.FileSet, files []*ast.File) (map[string]allowSet, []Diagnostic) {
 	byFile := make(map[string]allowSet)
+	var unknown []Diagnostic
 	for _, f := range files {
 		code := codeLines(fset, f)
 		for _, cg := range f.Comments {
@@ -63,6 +68,11 @@ func collectAllows(fset *token.FileSet, files []*ast.File) map[string]allowSet {
 					if rule == "" {
 						continue
 					}
+					if RuleByName(rule) == nil {
+						unknown = append(unknown, Diagnostic{Pos: c.Pos(), Category: "allow",
+							Message: fmt.Sprintf("//ellint:allow names unknown rule %q, so it suppresses nothing (rules: %s)", rule, ruleNames())})
+						continue
+					}
 					for _, line := range lines {
 						m := set[line]
 						if m == nil {
@@ -75,7 +85,7 @@ func collectAllows(fset *token.FileSet, files []*ast.File) map[string]allowSet {
 			}
 		}
 	}
-	return byFile
+	return byFile, unknown
 }
 
 // codeLines marks the lines of f that contain non-comment tokens, so a
@@ -96,28 +106,11 @@ func codeLines(fset *token.FileSet, f *ast.File) map[int]bool {
 	return lines
 }
 
-// suppressed reports whether d is covered by an //ellint:allow annotation.
-func suppressed(fset *token.FileSet, allows map[string]allowSet, d Diagnostic) bool {
-	pos := fset.Position(d.Pos)
-	set := allows[pos.Filename]
-	if set == nil {
-		return false
-	}
-	return set[pos.Line][d.Category]
-}
-
-// Filter drops diagnostics covered by //ellint:allow annotations in files.
-func Filter(fset *token.FileSet, files []*ast.File, diags []Diagnostic) []Diagnostic {
-	if len(diags) == 0 {
-		return diags
-	}
-	allows := collectAllows(fset, files)
-	if len(allows) == 0 {
-		return diags
-	}
+// filter drops diagnostics covered by //ellint:allow annotations.
+func (in *Interp) filter(diags []Diagnostic) []Diagnostic {
 	kept := diags[:0]
 	for _, d := range diags {
-		if !suppressed(fset, allows, d) {
+		if !in.allowedAt(d.Pos, d.Category) {
 			kept = append(kept, d)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"strings"
 	"testing"
 )
 
@@ -28,9 +29,10 @@ func f() {
 	_ = 4 // ordinary comment, no allow
 	//ellint:allow
 	_ = 5
+	_ = 6 //ellint:allow wallclock,nosuchrule a typo beside a real rule
 }
 `)
-	allows := collectAllows(fset, []*ast.File{f})
+	allows, unknown := collectAllows(fset, []*ast.File{f})
 	set := allows["suppress_fixture.go"]
 	if set == nil {
 		t.Fatal("no allows collected")
@@ -48,11 +50,19 @@ func f() {
 		{6, "rngsource", true}, // ... and its own line
 		{8, "wallclock", false},
 		{10, "rngsource", false}, // bare allow with no rule list is inert
+		{11, "wallclock", true},
+		{11, "nosuchrule", false},
 	}
 	for _, c := range cases {
 		if got := set[c.line][c.rule]; got != c.want {
 			t.Errorf("line %d rule %s: allowed=%v, want %v", c.line, c.rule, got, c.want)
 		}
+	}
+	// A rule name Ruleset does not define is reported, once, where the
+	// comment is.
+	if len(unknown) != 1 || fset.Position(unknown[0].Pos).Line != 11 ||
+		unknown[0].Category != "allow" || !strings.Contains(unknown[0].Message, `"nosuchrule"`) {
+		t.Errorf("unknown-rule diagnostics = %+v, want one for nosuchrule on line 11", unknown)
 	}
 }
 
@@ -72,7 +82,7 @@ func f() {
 		{Pos: pos(4), Category: "maporder", Message: "different rule, kept"},
 		{Pos: pos(5), Category: "wallclock", Message: "other line, kept"},
 	}
-	got := Filter(fset, []*ast.File{f}, diags)
+	got := NewInterp(fset, []*ast.File{f}, NewInfo(), nil, false).filter(diags)
 	if len(got) != 2 {
 		t.Fatalf("Filter kept %d diagnostics, want 2: %v", len(got), got)
 	}
@@ -119,7 +129,7 @@ func TestRulesetNamesUnique(t *testing.T) {
 		}
 		seen[rule.Name] = true
 	}
-	if !seen["wallclock"] || !seen["rngsource"] || !seen["maporder"] || !seen["nilgate"] || !seen["floatorder"] {
+	if !seen["wallclock"] || !seen["rngsource"] || !seen["maporder"] || !seen["nilgate"] {
 		t.Errorf("ruleset missing a contract rule: %v", seen)
 	}
 	if r := RuleByName("maporder"); r == nil || r.Name != "maporder" {

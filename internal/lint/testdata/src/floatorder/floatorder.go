@@ -1,28 +1,31 @@
-// Fixture for the floatorder analyzer: float reduction in map-iteration or
-// goroutine order is flagged; integer accumulation and slice-order
-// reduction are fine.
+// Fixture for float reduction in map-iteration order, checked by the
+// maporder analyzer: float arithmetic is not associative, so a different
+// iteration order is a different sum. Integer accumulation, slice-order and
+// sorted-key reduction are fine.
 package floatorder
+
+import "sort"
 
 func badMapSum(m map[string]float64) float64 {
 	var sum float64
-	for _, v := range m {
-		sum += v // want `float accumulation into sum is order-dependent`
+	for _, v := range m { // want `accumulates float into sum`
+		sum += v
 	}
 	return sum
 }
 
 func badMapExpandedForm(m map[int]float64) float64 {
 	total := 0.0
-	for k := range m {
-		total = total + m[k] // want `float accumulation into total`
+	for k := range m { // want `accumulates float into total`
+		total = total + m[k]
 	}
 	return total
 }
 
 func badMapProduct(m map[string]float64) float64 {
 	p := 1.0
-	for _, v := range m {
-		p *= v // want `float accumulation into p`
+	for _, v := range m { // want `accumulates float into p`
+		p *= v
 	}
 	return p
 }
@@ -31,26 +34,10 @@ type stats struct{ mean float64 }
 
 func badFieldAccum(m map[string]float64) stats {
 	var s stats
-	for _, v := range m {
-		s.mean += v // want `float accumulation into s\.mean`
+	for _, v := range m { // want `accumulates float into s\.mean`
+		s.mean += v
 	}
 	return s
-}
-
-func badGoroutine(xs []float64) float64 {
-	var sum float64
-	done := make(chan struct{})
-	for _, x := range xs {
-		x := x
-		go func() {
-			sum += x // want `goroutine completion order is scheduler-dependent`
-			done <- struct{}{}
-		}()
-	}
-	for range xs {
-		<-done
-	}
-	return sum
 }
 
 // goodIntCount: integer addition commutes exactly.
@@ -80,10 +67,26 @@ func goodLoopLocal(m map[string]float64) {
 	}
 }
 
+// goodSortedKeys reduces floats over sorted keys: the slice fixes the
+// order, so the sum is the same on every run.
+func goodSortedKeys(m map[string]float64) float64 {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	sum := 0.0
+	for _, k := range keys {
+		sum += m[k]
+	}
+	return sum
+}
+
 func suppressed(m map[string]float64) float64 {
 	var sum float64
+	//ellint:allow maporder fixture: downstream compares with tolerance
 	for _, v := range m {
-		sum += v //ellint:allow floatorder fixture: downstream compares with tolerance
+		sum += v
 	}
 	return sum
 }

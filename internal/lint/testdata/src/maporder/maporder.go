@@ -1,7 +1,5 @@
 // Fixture for the maporder analyzer: order-dependent effects inside map
-// iteration. This file deliberately does not import "sort", so none of the
-// diagnostics carry suggested fixes (see the maporderfix fixture for those)
-// and the sorted.go neighbor holds the sort-exempt idioms.
+// iteration. The sorted.go neighbor holds the sort-exempt idioms.
 package maporder
 
 import "fmt"

@@ -42,9 +42,7 @@ func goodNestedSort(m map[string]int, enabled bool) []string {
 	return keys
 }
 
-// badNeverSorted appends but nothing downstream sorts the slice. This file
-// imports sort, so the diagnostic carries a suggested fix (exercised by the
-// maporderfix fixture; here only the message is asserted).
+// badNeverSorted appends but nothing downstream sorts the slice.
 func badNeverSorted(m map[string]int) []string {
 	var out []string
 	for k := range m { // want `appends to out`

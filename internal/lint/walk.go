@@ -162,12 +162,3 @@ func exprText(fset *token.FileSet, e ast.Expr) string {
 	}
 	return buf.String()
 }
-
-// nodeText renders any node as source text.
-func nodeText(fset *token.FileSet, n ast.Node) string {
-	var buf bytes.Buffer
-	if err := printer.Fprint(&buf, fset, n); err != nil {
-		return ""
-	}
-	return buf.String()
-}

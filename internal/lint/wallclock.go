@@ -26,14 +26,11 @@ var wallclockForbidden = map[string]bool{
 // WallclockAnalyzer implements the wallclock rule.
 var WallclockAnalyzer = &Analyzer{
 	Name: "wallclock",
-	Doc: "forbid wall-clock reads and sleeps (time.Now, time.Since, time.Sleep, " +
-		"timers); simulator code must use the virtual clock so a (seed, config) " +
-		"pair replays bit-identically. Deliberate wall-timing in the CLI harness " +
-		"is annotated //ellint:allow wallclock.",
-	Run: runWallclock,
+	Doc:  "forbids wall-clock reads and sleeps (time.Now, time.Since, time.Sleep, timers): simulator code uses the virtual clock",
+	Run:  runWallclock,
 }
 
-func runWallclock(pass *Pass) error {
+func runWallclock(pass *Pass) {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
@@ -47,14 +44,9 @@ func runWallclock(pass *Pass) error {
 			if !wallclockForbidden[obj.Name()] {
 				return true
 			}
-			pass.Report(Diagnostic{
-				Pos: sel.Pos(),
-				End: sel.End(),
-				Message: "time." + obj.Name() + " reads the wall clock; simulated " +
-					"code must use the virtual clock (sim.Engine.Now / scheduled events)",
-			})
+			pass.Reportf(sel.Pos(), "time.%s reads the wall clock; simulated "+
+				"code must use the virtual clock (sim.Engine.Now / scheduled events)", obj.Name())
 			return true
 		})
 	}
-	return nil
 }

@@ -69,8 +69,10 @@ func (h *Histogram) Observe(v float64) {
 			lo = mid + 1
 		}
 	}
-	h.counts[lo].Add(1)
+	// count before bucket, and Snapshot loads buckets before count, so a
+	// snapshot never shows more in its buckets than in its count.
 	h.count.Add(1)
+	h.counts[lo].Add(1)
 	h.sum.Add(v)
 }
 
@@ -80,12 +82,12 @@ func (h *Histogram) Snapshot() metrics.BucketSnapshot {
 	s := metrics.BucketSnapshot{
 		Bounds: h.bounds,
 		Counts: make([]uint64, len(h.counts)),
-		Count:  h.count.Load(),
-		Sum:    h.sum.Load(),
 	}
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
 	}
+	s.Count = h.count.Load()
+	s.Sum = h.sum.Load()
 	return s
 }
 
