@@ -34,7 +34,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: fig4|fig5|fig6|fig7|scarce|headline|pdes|all|hints|chain|hybrid|adaptive|arrivals|steal|scale|xshard|simvreal|ext")
+		exp      = flag.String("exp", "all", "experiment: fig4|fig5|fig6|fig7|scarce|headline|all|hints|chain|hybrid|adaptive|arrivals|steal|scale|xshard|simvreal|ext")
 		runtime  = flag.Float64("runtime", 500, "simulated seconds per run")
 		objects  = flag.Uint64("objects", 10_000_000, "database object count")
 		seed     = flag.Uint64("seed", 1, "random seed")
@@ -110,8 +110,6 @@ func main() {
 		show("steal", opt, experiments.Steal, experiments.FormatSteal)
 	case "scale":
 		show("scale", opt, experiments.Scale, experiments.FormatScale)
-	case "pdes":
-		show("pdes", opt, experiments.PDES, experiments.FormatPDES)
 	case "simvreal":
 		// Deliberately not part of "all": the real run pays its runtime
 		// in wall-clock fsync traffic and its measured numbers are not
@@ -120,9 +118,9 @@ func main() {
 		// curves diverge.
 		checkSimVsReal(show("simvreal", opt, experiments.SimVsReal, experiments.FormatSimVsReal))
 	case "xshard":
-		// Deliberately not part of "all": "all" is the paper figures plus
-		// the pdes suite, and xshard's sweep is slow at full fidelity; run
-		// it explicitly when the 2PC path is in play.
+		// Deliberately not part of "all": "all" is the paper figures, and
+		// xshard's sweep is slow at full fidelity; run it explicitly when
+		// the 2PC path is in play.
 		show("xshard", opt, experiments.CrossShard, experiments.FormatCrossShard)
 	case "ext":
 		show("hints", opt, experiments.Hints, experiments.FormatHints)
@@ -145,8 +143,6 @@ func main() {
 		show("scarce", opt, experiments.Scarce, experiments.FormatScarce)
 		fmt.Println()
 		show("headline", opt, experiments.Headline, experiments.FormatHeadline)
-		fmt.Println()
-		show("pdes", opt, experiments.PDES, experiments.FormatPDES)
 	default:
 		fatal(fmt.Errorf("unknown experiment %q", *exp))
 	}

@@ -290,7 +290,7 @@ func runCrossCampaign(cfg config.SimConfig, maxPoints, workers int) {
 	if q := uint64(cfg.Shards * cfg.FlushDrives); q > 0 && cfg.NumObjects%q != 0 {
 		cfg.NumObjects -= cfg.NumObjects % q
 	}
-	pcfg, err := cfg.ToPDES(1)
+	pcfg, err := cfg.ToPDES()
 	if err != nil {
 		fatal(err)
 	}

@@ -57,7 +57,6 @@ func main() {
 		plot       = flag.String("plot", "", "after the run, ASCII-plot the first sampled series whose name contains this substring (needs -probes-out)")
 		shards     = flag.Int("shards", 0, "override: run as this many shared-nothing shards, each at the full arrival rate (multilog; >= 2)")
 		crossFrac  = flag.Float64("cross-frac", -1, "override: share of each shard's arrivals that span two shards (needs -shards)")
-		pdes       = flag.Int("pdes", 0, "worker goroutines for the shards' logical processes (default 1, the sequential reference execution; alone, runs one shard as one LP)")
 	)
 	flag.Parse()
 
@@ -116,17 +115,6 @@ func main() {
 		cfg.CrossFrac = *crossFrac
 	}
 
-	if *pdes > 0 || cfg.Shards > 1 {
-		if *seeds > 1 || *traceN > 0 {
-			fatal(fmt.Errorf("sharded runs support neither -seeds nor -trace yet"))
-		}
-		if cfg.Shards < 1 {
-			cfg.Shards = 1 // single-LP run: the sequential reduction
-		}
-		runPDES(cfg, max(*pdes, 1), *traceOut, *probesOut, *probeMS, *verbose)
-		return
-	}
-
 	// Observability: the config's section is the base; flags override.
 	var ocfg obs.Config
 	if cfg.Observability != nil {
@@ -140,6 +128,14 @@ func main() {
 	}
 	if *probeMS > 0 {
 		ocfg.SampleInterval = sim.Time(*probeMS) * sim.Millisecond
+	}
+
+	if cfg.Shards > 1 {
+		if *seeds > 1 || *traceN > 0 || *plot != "" {
+			fatal(fmt.Errorf("sharded runs support none of -seeds, -trace and -plot yet"))
+		}
+		runPDES(cfg, ocfg, *verbose)
+		return
 	}
 
 	hcfg, err := cfg.ToHarness()
@@ -257,16 +253,14 @@ func main() {
 // runPDES executes the configuration as a sharded run: shards become
 // logical processes of a parallel discrete-event simulation under
 // conservative synchronization, and at the end the whole machine is
-// crashed and recovered against the acknowledged commits. The worker count
-// is pure scheduling and is printed to stderr only — stdout (and the
-// per-LP trace files) are a fixed function of (seed, config), which is
-// exactly what the CI determinism matrix diffs across worker counts.
-func runPDES(cfg config.SimConfig, workers int, traceOut, probesOut string, probeMS int64, verbose bool) {
-	pcfg, err := cfg.ToPDES(workers)
+// crashed and recovered against the acknowledged commits. Observability
+// is per LP: the trace goes to <TracePath>.lpN, and every LP's probe
+// series carry an lp= label in the one ProbesPath file.
+func runPDES(cfg config.SimConfig, ocfg obs.Config, verbose bool) {
+	pcfg, err := cfg.ToPDES()
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "pdes: %d workers\n", workers)
 	fmt.Printf("running %s x %d LPs (cross frac %.2f), generations %v (recirculation %v), %s, seed %d\n",
 		strings.ToUpper(cfg.Mode), pcfg.Shards, pcfg.CrossFrac, cfg.Generations, cfg.Recirculate,
 		sim.Time(cfg.RuntimeS*float64(sim.Second)), cfg.Seed)
@@ -274,14 +268,13 @@ func runPDES(cfg config.SimConfig, workers int, traceOut, probesOut string, prob
 	if err != nil {
 		fatal(err)
 	}
-	// Tracing stays LP-local: each shard streams to its own file, so the
-	// union of files is worker-invariant even though no global event order
-	// exists during a window.
+	// Tracing stays LP-local: each shard streams to its own file, since no
+	// global event order exists during a window.
 	var observers []*obs.Observer
-	if traceOut != "" {
+	if ocfg.TracePath != "" {
 		for i, s := range live.Shards {
-			ocfg := obs.Config{TracePath: fmt.Sprintf("%s.lp%d", traceOut, i)}
-			o, err := obs.New(s.LP.Engine, obs.SetupTargets(s.Setup), ocfg)
+			lcfg := obs.Config{TracePath: fmt.Sprintf("%s.lp%d", ocfg.TracePath, i)}
+			o, err := obs.New(s.LP.Engine, obs.SetupTargets(s.Setup), lcfg)
 			if err != nil {
 				fatal(err)
 			}
@@ -293,14 +286,11 @@ func runPDES(cfg config.SimConfig, workers int, traceOut, probesOut string, prob
 	// ticking on its own engine and reading only that shard's state, so
 	// the ticks never cross an LP boundary. Series names carry an lp=
 	// label on top of the canonical schema, and the merged dump
-	// concatenates per-LP snapshots in LP-index order — a fixed function
-	// of (seed, config) for any worker count, which is what the CI
-	// determinism matrix diffs.
+	// concatenates per-LP snapshots in LP-index order.
 	var samplers []*obs.Sampler
-	if probesOut != "" {
-		interval := sim.Time(probeMS) * sim.Millisecond
+	if ocfg.ProbesPath != "" {
 		for i, s := range live.Shards {
-			smp := obs.NewSampler(s.LP.Engine, interval, 0)
+			smp := obs.NewSampler(s.LP.Engine, ocfg.SampleInterval, ocfg.MaxPoints)
 			lp := strconv.Itoa(i)
 			for _, p := range obs.StandardProbes(obs.SetupTargets(s.Setup)) {
 				smp.Register(obs.WithLabel(p.Name, "lp", lp), p.Fn)
@@ -322,15 +312,15 @@ func runPDES(cfg config.SimConfig, workers int, traceOut, probesOut string, prob
 			fatal(err)
 		}
 	}
-	if traceOut != "" {
-		fmt.Printf("traces streamed to %s.lp0 .. %s.lp%d\n", traceOut, traceOut, len(live.Shards)-1)
+	if ocfg.TracePath != "" {
+		fmt.Printf("traces streamed to %s.lp0 .. %s.lp%d\n", ocfg.TracePath, ocfg.TracePath, len(live.Shards)-1)
 	}
-	if probesOut != "" {
+	if ocfg.ProbesPath != "" {
 		var series []obs.Series
 		for _, smp := range samplers {
 			series = append(series, smp.Series()...)
 		}
-		f, err := os.Create(probesOut)
+		f, err := os.Create(ocfg.ProbesPath)
 		if err != nil {
 			fatal(err)
 		}
@@ -344,7 +334,7 @@ func runPDES(cfg config.SimConfig, workers int, traceOut, probesOut string, prob
 		// Every LP ticks to the same horizon at the same cadence, so any
 		// sampler's tick count describes them all.
 		fmt.Printf("probes: %d series across %d LPs, %d ticks at %v cadence -> %s\n",
-			len(series), len(samplers), samplers[0].Ticks(), samplers[0].Interval(), probesOut)
+			len(series), len(samplers), samplers[0].Ticks(), samplers[0].Interval(), ocfg.ProbesPath)
 	}
 	merged, report, err := multilog.RecoverAll(live.Setups(), 0)
 	if err != nil {

@@ -230,10 +230,9 @@ func (c SimConfig) ToHarness() (harness.Config, error) {
 // ToPDES converts to a runnable sharded configuration: every shard
 // becomes one logical process with its own slice of the object space and
 // its own ArrivalRate, and CrossFrac becomes the 2PC overlay's share of
-// each shard's arrivals. workers is the goroutine count — pure scheduling,
-// any value gives byte-identical results. A single shard is allowed (it
-// reduces exactly to the sequential harness run).
-func (c SimConfig) ToPDES(workers int) (multilog.PDESConfig, error) {
+// each shard's arrivals. A single shard is allowed (it reduces exactly to
+// the sequential harness run).
+func (c SimConfig) ToPDES() (multilog.PDESConfig, error) {
 	var pcfg multilog.PDESConfig
 	if c.Shards < 1 {
 		return pcfg, fmt.Errorf("config: pdes run needs shards >= 1, have %d", c.Shards)
@@ -252,7 +251,6 @@ func (c SimConfig) ToPDES(workers int) (multilog.PDESConfig, error) {
 	pcfg = multilog.PDESConfig{
 		Seed:      hcfg.Seed,
 		Shards:    c.Shards,
-		Workers:   workers,
 		LM:        hcfg.LM,
 		Flush:     hcfg.Flush,
 		Workload:  hcfg.Workload,

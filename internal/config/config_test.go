@@ -158,7 +158,7 @@ func TestUnsupportedCombos(t *testing.T) {
 		cfg := Default()
 		cfg.Shards = 2
 		cfg.Faults = &FaultsJSON{Seed: 1, WriteFailProb: 0.1}
-		_, err := cfg.ToPDES(1)
+		_, err := cfg.ToPDES()
 		var combo UnsupportedCombo
 		if !errors.As(err, &combo) {
 			t.Fatalf("ToPDES returned %v, want UnsupportedCombo", err)
@@ -182,7 +182,7 @@ func TestToPDESArrivalRatePerShard(t *testing.T) {
 	cfg.NumObjects = 4000
 	cfg.FlushDrives = 2
 	cfg.GroupCommitTimeoutMS = 20
-	pcfg, err := cfg.ToPDES(1)
+	pcfg, err := cfg.ToPDES()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -633,8 +633,7 @@ type CrossShardPoint struct {
 // shardFrame is the sharded run both multilog experiments sweep: the
 // paper's 5 % mix at 100 TPS per shard on a recirculating 20+16 block log,
 // with an eighth of the object space per shard so the total stays
-// comparable. It runs on the sequential reference schedule, one run per
-// pool slot.
+// comparable. Each run takes one pool slot.
 func shardFrame(o Options, shards int, crossFrac float64, transfer sim.Time) multilog.PDESConfig {
 	perShard := o.NumObjects / 8
 	if perShard%10 != 0 {

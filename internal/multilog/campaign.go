@@ -41,9 +41,7 @@ type CrossFailure struct {
 
 // CrossCampaignConfig parameterizes a cross-shard crash sweep.
 type CrossCampaignConfig struct {
-	// Base is the sharded run to crash. Its Workers is ignored: every run
-	// of the sweep is the 1-worker sequential reference execution, so the
-	// points themselves fan out across the pool.
+	// Base is the sharded run to crash; the points fan out across the pool.
 	Base PDESConfig
 	// Horizon is how far each run may execute before it is considered
 	// drained; 0 selects Runtime + 30 s.
@@ -56,7 +54,6 @@ func (c CrossCampaignConfig) withDefaults() CrossCampaignConfig {
 	if c.Horizon == 0 {
 		c.Horizon = c.Base.Workload.Runtime + 30*sim.Second
 	}
-	c.Base.Workers = 1
 	return c
 }
 

@@ -11,7 +11,7 @@ import (
 // smallCampaign is smallPDES cut to two simulated seconds, so exhaustive
 // crash sweeps stay within test budgets.
 func smallCampaign(shards int, crossFrac float64, seed uint64) PDESConfig {
-	cfg := smallPDES(shards, 1, crossFrac, seed)
+	cfg := smallPDES(shards, crossFrac, seed)
 	cfg.Workload.Runtime = 2 * sim.Second
 	return cfg
 }

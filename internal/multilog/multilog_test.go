@@ -138,7 +138,7 @@ func TestGlobalCrashRecovery(t *testing.T) {
 // alike.
 func TestKillIsolation(t *testing.T) {
 	const width = 1_000_000
-	pe := sim.NewParallelEngine(9, 10, 3, 15*sim.Millisecond, 1)
+	pe := sim.NewParallelEngine(9, 10, 3, 15*sim.Millisecond)
 	var parts []*core.Setup
 	var gens []*workload.Generator
 	for i, sizes := range [][]int{{5, 4}, {20, 16}, {20, 16}} {

@@ -4,18 +4,15 @@
 // sim.ParallelEngine: the shard's log device, flush array, stable database,
 // logging manager and workload generator all attach to that LP's embedded
 // engine, so everything a shard does is LP-local — the obligation the
-// parallel engine's determinism contract places on the model. The only
-// cross-LP channel is the 2PC overlay (pdes_cross.go), whose every
-// protocol step travels as an LP.Send with the engine's lookahead as its
-// delay: cross-shard messages ARE the cross-LP events, and the lookahead
+// parallel engine places on the model. The only cross-LP channel is the
+// 2PC overlay (pdes_cross.go), whose every protocol step travels as an
+// LP.Send with the engine's lookahead as its delay: cross-shard messages
+// ARE the cross-LP events, and the lookahead
 // doubles as the inter-shard message latency. With the default lookahead —
 // the 15 ms tau_DiskWrite already in the model — that is a plausible
 // same-machine interconnect delay and an enormous PDES lookahead at once.
 //
-// Identity contract. The worker count is pure scheduling: a run with N
-// workers is byte-identical to the same run with 1 worker (the sequential
-// reference execution — CI's pdes-determinism matrix asserts exactly
-// this). Separately, a 1-shard PDES run reduces bit-for-bit to the classic
+// Identity contract. A 1-shard PDES run reduces bit-for-bit to the classic
 // harness.Build run of the same configuration, because LP 0 is seeded with
 // exactly the words harness.Build feeds sim.NewEngine and the generator
 // wiring is call-for-call identical (pdes_test.go proves it).
@@ -25,7 +22,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"ellog/internal/core"
 	"ellog/internal/logrec"
@@ -50,14 +46,10 @@ func pdesCrossTid(lp int, n uint64) logrec.TxID {
 	return logrec.TxID(uint64(lp)*pdesTidStride + pdesCrossBit + n)
 }
 
-// PDESConfig parameterizes a parallel sharded run.
+// PDESConfig parameterizes a sharded run.
 type PDESConfig struct {
 	Seed   uint64
 	Shards int // logical processes; one full EL instance each
-	// Workers is the goroutine count the parallel engine schedules LPs
-	// onto. It is pure scheduling — any value produces byte-identical
-	// results — and <= 1 selects the sequential reference execution.
-	Workers int
 	// Lookahead is the conservative window width and the cross-shard
 	// message latency. Zero defaults to the logging manager's block write
 	// latency (tau_DiskWrite, 15 ms) — the physical constant the ROADMAP
@@ -92,25 +84,14 @@ type ShardLP struct {
 	cross *crossArm // nil when CrossFrac == 0
 }
 
-// PDESLive is an assembled parallel run.
+// PDESLive is an assembled sharded run.
 type PDESLive struct {
 	PE     *sim.ParallelEngine
 	Shards []*ShardLP
 	cfg    PDESConfig
 }
 
-// pdesActive guards against nested within-run parallelism: two parallel
-// PDES runs in one process would oversubscribe the machine and — far worse
-// for a simulator whose whole value is reproducibility — suggest a caller
-// composing runner.Pool's across-runs fan-out with within-run workers.
-// Those are alternatives, not layers; see runner.Pool's documentation.
-var pdesActive atomic.Int32
-
-// ErrNestedParallelism is the named panic message raised when a second
-// parallel (Workers > 1) PDES run starts while one is active.
-const ErrNestedParallelism = "multilog: nested within-run parallelism: a Workers>1 PDES run is already active in this process; use Workers=1 inside runner.Pool fan-outs (across-runs and within-run parallelism are alternatives, not layers)"
-
-// BuildPDES assembles a parallel sharded run without executing it.
+// BuildPDES assembles a sharded run without executing it.
 func BuildPDES(cfg PDESConfig) (*PDESLive, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("multilog: pdes needs at least one shard, got %d", cfg.Shards)
@@ -143,7 +124,7 @@ func BuildPDES(cfg PDESConfig) (*PDESLive, error) {
 
 	// Seeded exactly like harness.Build seeds its engine, so LP 0 of a
 	// 1-shard run is bit-for-bit the classic sequential engine.
-	pe := sim.NewParallelEngine(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15, cfg.Shards, lookahead, cfg.Workers)
+	pe := sim.NewParallelEngine(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15, cfg.Shards, lookahead)
 	live := &PDESLive{PE: pe, cfg: cfg}
 	var arms []*crossArm
 	for i := 0; i < cfg.Shards; i++ {
@@ -181,20 +162,12 @@ func BuildPDES(cfg PDESConfig) (*PDESLive, error) {
 	return live, nil
 }
 
-// Run executes the simulation to the configured workload runtime. A
-// Workers>1 run registers itself in a process-wide slot for its duration
-// and panics with ErrNestedParallelism if the slot is taken.
+// Run executes the simulation to the configured workload runtime.
 func (pl *PDESLive) Run() {
-	if pl.PE.Workers() > 1 {
-		if !pdesActive.CompareAndSwap(0, 1) {
-			panic(ErrNestedParallelism)
-		}
-		defer pdesActive.Store(0)
-	}
 	pl.PE.Run(pl.cfg.Workload.Runtime)
 }
 
-// RunPDES builds, runs and summarizes a parallel sharded run.
+// RunPDES builds, runs and summarizes a sharded run.
 func RunPDES(cfg PDESConfig) (*PDESLive, PDESStats, error) {
 	live, err := BuildPDES(cfg)
 	if err != nil {
@@ -237,10 +210,8 @@ func (s *lpSink) dispatchKill(tid logrec.TxID) {
 	}
 }
 
-// PDESStats aggregates a parallel run. Every field is a pure function of
-// simulation state, so it is identical for any worker count; the worker
-// count itself is deliberately absent (the CI determinism matrix diffs
-// whole reports across worker counts).
+// PDESStats aggregates a sharded run. Every field is a pure function of
+// (seed, config).
 type PDESStats struct {
 	Shards    int
 	Lookahead sim.Time
@@ -388,9 +359,8 @@ func (pl *PDESLive) Acked(tid logrec.TxID) bool {
 }
 
 // String renders a deterministic multi-line report: map-backed sections
-// are emitted in sorted key order, and nothing scheduling-dependent (no
-// worker count, no wall-clock) appears — the report is a fixed function of
-// (seed, config), which is what the CI determinism matrix diffs.
+// are emitted in sorted key order, and no wall-clock appears — the report
+// is a fixed function of (seed, config).
 func (st PDESStats) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "pdes: %d shards, lookahead %v, %d windows, %d cross-LP events, %d events\n",

@@ -10,6 +10,7 @@ import (
 	"ellog/internal/logrec"
 	"ellog/internal/recovery"
 	"ellog/internal/sim"
+	"ellog/internal/trace"
 	"ellog/internal/workload"
 )
 
@@ -18,11 +19,10 @@ import (
 // with the load split across shards, pure group commit would leave most of
 // the run in unsealed blocks and crash sweeps with almost no durable
 // instants to crash at.
-func smallPDES(shards, workers int, crossFrac float64, seed uint64) PDESConfig {
+func smallPDES(shards int, crossFrac float64, seed uint64) PDESConfig {
 	return PDESConfig{
-		Seed:    seed,
-		Shards:  shards,
-		Workers: workers,
+		Seed:   seed,
+		Shards: shards,
 		LM: core.Params{
 			Mode: core.ModeEphemeral, GenSizes: []int{10, 10},
 			GroupCommitTimeout: 20 * sim.Millisecond,
@@ -40,52 +40,48 @@ func smallPDES(shards, workers int, crossFrac float64, seed uint64) PDESConfig {
 	}
 }
 
-// TestPDESWorkerInvariance is the CI determinism matrix in miniature: the
-// full model (base and xshard configs) run under every worker count must
-// produce byte-identical reports — the whole-machine recovery of the end
-// state, 2PC resolution included — to the 1-worker sequential reference.
-func TestPDESWorkerInvariance(t *testing.T) {
-	cases := []struct {
-		name      string
-		crossFrac float64
-	}{
-		{"base", 0},
-		{"xshard", 0.25},
+// TestPDESPinned pins the simulated counts of a heavy sharded frame: four
+// shards at 9x the paper's per-shard rate with a fifth of the traffic
+// crossing shards, so every conservative window carries real work (~90
+// events per LP per 15 ms window) and the 2PC overlay is busy. The flush
+// array trades the paper's 10x25 ms drives for 10x3 ms ones, the service
+// rate the 9x update rate needs. The counts are a pure function of seed
+// and frame; a change to one is a change to the model.
+func TestPDESPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 40 simulated seconds of four busy shards; skipped with -short")
 	}
-	run := func(t *testing.T, workers int, crossFrac float64) (PDESStats, string) {
-		live, st, err := RunPDES(smallPDES(4, workers, crossFrac, 12345))
-		if err != nil {
-			t.Fatal(err)
+	live, st, err := RunPDES(PDESConfig{
+		Seed:   1,
+		Shards: 4,
+		LM: core.Params{
+			Mode: core.ModeEphemeral, GenSizes: []int{190, 152}, Recirculate: true,
+		},
+		Flush: core.FlushConfig{Drives: 10, Transfer: 3 * sim.Millisecond, NumObjects: 125_000},
+		Workload: workload.Config{
+			Mix:         workload.PaperMix(0.05),
+			ArrivalRate: 900,
+			Runtime:     40 * sim.Second,
+		},
+		CrossFrac: 0.2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live.Insufficient() {
+		t.Error("pdes: the pinned frame's run was insufficient")
+	}
+	pin := func(metric string, got, want uint64) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s = %d, pinned %d", metric, got, want)
 		}
-		_, report, err := RecoverAll(live.Setups(), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st, fmt.Sprintf("%+v", report)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			ref, refRecovery := run(t, 1, tc.crossFrac)
-			if ref.Events == 0 || ref.Committed == 0 {
-				t.Fatalf("vacuous reference run: %+v", ref)
-			}
-			if tc.crossFrac > 0 && ref.Delivered == 0 {
-				t.Fatal("xshard run produced no cross-LP events")
-			}
-			for _, workers := range []int{2, 4, 8} {
-				got, gotRecovery := run(t, workers, tc.crossFrac)
-				if !reflect.DeepEqual(got, ref) {
-					t.Fatalf("workers=%d stats diverged from sequential reference:\nref: %+v\ngot: %+v", workers, ref, got)
-				}
-				if got.String() != ref.String() {
-					t.Fatalf("workers=%d report text diverged:\nref:\n%s\ngot:\n%s", workers, ref, got)
-				}
-				if gotRecovery != refRecovery {
-					t.Fatalf("workers=%d recovery diverged:\nref: %s\ngot: %s", workers, refRecovery, gotRecovery)
-				}
-			}
-		})
-	}
+	pin("pdes/events", st.Events, 960212)
+	pin("pdes/windows", st.Windows, 2667)
+	pin("pdes/cross_lp_events", st.Delivered, 139813)
+	pin("pdes/local_committed", st.Committed, 111026)
+	pin("pdes/cross_committed", st.CrossCommitted, 27735)
 }
 
 // TestPDESSingleShardReducesToHarness is the reduction theorem at the
@@ -93,7 +89,7 @@ func TestPDESWorkerInvariance(t *testing.T) {
 // single-engine harness run of the same configuration — same seeds, same
 // generator calls, same stats.
 func TestPDESSingleShardReducesToHarness(t *testing.T) {
-	cfg := smallPDES(1, 4, 0, 99)
+	cfg := smallPDES(1, 0, 99)
 	seqCfg := harness.Config{
 		Seed:     cfg.Seed,
 		LM:       cfg.LM,
@@ -125,7 +121,7 @@ func TestPDESSingleShardReducesToHarness(t *testing.T) {
 // whole machine's crash image recovers to exactly the acknowledged
 // commits, both branches of every cross-shard one included.
 func TestPDESCrossCommitsAndRecovers(t *testing.T) {
-	live, err := BuildPDES(smallPDES(3, 2, 0.3, 7))
+	live, err := BuildPDES(smallPDES(3, 0.3, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,42 +182,6 @@ func TestPDESCrossCommitsAndRecovers(t *testing.T) {
 	}
 }
 
-// TestPDESNestedParallelismGuard exercises the named panic: a Workers>1
-// run refuses to start while another parallel run owns the process slot.
-func TestPDESNestedParallelismGuard(t *testing.T) {
-	if !pdesActive.CompareAndSwap(0, 1) {
-		t.Fatal("parallel-run slot unexpectedly taken")
-	}
-	defer pdesActive.Store(0)
-	live, err := BuildPDES(smallPDES(2, 2, 0, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("nested Workers>1 run did not panic")
-		}
-		if msg, ok := r.(string); !ok || msg != ErrNestedParallelism {
-			t.Fatalf("unexpected panic %v", r)
-		}
-	}()
-	live.Run()
-}
-
-// TestPDESSequentialRunsInsidePool checks the documented composition rule:
-// Workers=1 PDES runs may fan out across runner.Pool goroutines freely —
-// the guard only rejects parallel (Workers>1) overlap.
-func TestPDESSequentialRunsInsidePool(t *testing.T) {
-	if !pdesActive.CompareAndSwap(0, 1) {
-		t.Fatal("parallel-run slot unexpectedly taken")
-	}
-	defer pdesActive.Store(0)
-	if _, _, err := RunPDES(smallPDES(2, 1, 0, 1)); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPDESConfigValidation covers BuildPDES's rejection paths.
 func TestPDESConfigValidation(t *testing.T) {
 	bad := []func(*PDESConfig){
@@ -232,7 +192,7 @@ func TestPDESConfigValidation(t *testing.T) {
 		func(c *PDESConfig) { c.Flush.NumObjects = 4; c.CrossFrac = 0.5 },
 	}
 	for i, mutate := range bad {
-		cfg := smallPDES(4, 1, 0, 1)
+		cfg := smallPDES(4, 0, 1)
 		mutate(&cfg)
 		if _, err := BuildPDES(cfg); err == nil {
 			t.Errorf("case %d: config accepted, want error", i)
@@ -250,7 +210,7 @@ func TestNewValidation(t *testing.T) {
 		"invalid LM params": func(c *PDESConfig) { c.LM = core.Params{Mode: core.ModeFirewall, GenSizes: []int{4, 4}} },
 	}
 	for name, mutate := range bad {
-		cfg := smallPDES(2, 1, 0, 1)
+		cfg := smallPDES(2, 0, 1)
 		mutate(&cfg)
 		if _, err := BuildPDES(cfg); err == nil {
 			t.Errorf("%s: config accepted, want error", name)
@@ -263,7 +223,7 @@ func TestNewValidation(t *testing.T) {
 // against their oracle ledgers. Every decided transaction must be
 // acknowledged and must have logged one write on each of its two shards.
 func TestShardedRunCommitsCrossShard(t *testing.T) {
-	live, err := BuildPDES(smallPDES(3, 2, 0.3, 1))
+	live, err := BuildPDES(smallPDES(3, 0.3, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,31 +260,54 @@ func TestShardedRunCommitsCrossShard(t *testing.T) {
 	}
 }
 
-// TestShardedByteIdentical re-runs one parallel xshard configuration and
-// demands identical results — stats, report text, joined oracle and
-// whole-machine recovery — the determinism contract at a fixed worker
-// count, 2PC messages included.
+// TestShardedByteIdentical re-runs one xshard configuration and demands
+// identical results — stats, report text, joined oracle, whole-machine
+// recovery and every shard's trace event stream — the determinism
+// contract, 2PC messages included.
 func TestShardedByteIdentical(t *testing.T) {
 	type result struct {
 		stats    PDESStats
 		report   string
 		oracle   map[logrec.OID]logrec.LSN
 		recovery string
+		traces   [][]trace.Event // per LP, in emission order
 	}
 	run := func() result {
-		live, st, err := RunPDES(smallPDES(3, 4, 0.3, 7))
+		live, err := BuildPDES(smallPDES(3, 0.3, 7))
 		if err != nil {
 			t.Fatal(err)
 		}
+		traces := make([][]trace.Event, len(live.Shards))
+		for i, s := range live.Shards {
+			s.Setup.LM.SetTracer(trace.Func(func(e trace.Event) { traces[i] = append(traces[i], e) }))
+		}
+		live.Run()
+		st := live.Stats()
 		_, report, err := RecoverAll(live.Setups(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return result{st, st.String(), live.Oracle(), fmt.Sprintf("%+v", report)}
+		return result{st, st.String(), live.Oracle(), fmt.Sprintf("%+v", report), traces}
 	}
 	a, b := run(), run()
 	if len(a.oracle) == 0 {
 		t.Fatal("vacuous run: empty oracle")
+	}
+	for i, evs := range a.traces {
+		commits := 0
+		for _, e := range evs {
+			if e.Kind == trace.EvCommit {
+				commits++
+			}
+		}
+		if commits == 0 {
+			t.Fatalf("vacuous trace: LP %d emitted %d events, no commit among them", i, len(evs))
+		}
+	}
+	for i := range a.traces {
+		if !reflect.DeepEqual(a.traces[i], b.traces[i]) {
+			t.Fatalf("LP %d trace streams diverged: %d events in the first run, %d in the second", i, len(a.traces[i]), len(b.traces[i]))
+		}
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("two runs of the same sharded config diverged:\n--- first\n%s%s\n--- second\n%s%s",

@@ -13,17 +13,8 @@
 // the pool never reorders, samples, or perturbs results, it only
 // schedules.
 //
-// Across-runs vs. within-run parallelism. This pool parallelizes ACROSS
-// runs: every probe it schedules must be a single-threaded simulation.
-// multilog.BuildPDES offers the complementary shape — one simulation
-// spread over several workers (within-run). The two are alternatives, not
-// layers: a Workers>1 PDES run inside a pool fan-out (or inside a crash
-// campaign's worker sweep, which makes the same one-engine-per-goroutine
-// assumption) would oversubscribe the machine, and the PDES layer guards
-// against it with a process-wide slot — the second concurrent Workers>1
-// run panics with multilog.ErrNestedParallelism. Fanning Workers=1 PDES
-// runs across pool goroutines is fine and unguarded: a sequential PDES
-// run is just another single-threaded simulation.
+// The pool is the only parallelism in a simulation: every probe it
+// schedules, a sharded PDES run included, is a single-threaded simulation.
 package runner
 
 import (

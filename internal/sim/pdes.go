@@ -4,10 +4,12 @@
 // each owning a full arena Engine — its own event slab, heap, sequence
 // counter and RNG stream. Simulated time is divided into fixed buckets of
 // the configured lookahead width; within a bucket every LP dispatches its
-// own events independently (in parallel across worker goroutines), and at
-// the bucket barrier all cross-LP events produced during the bucket are
-// merged in (timestamp, source LP index, send sequence) order and scheduled
-// into their destination LPs.
+// own events in turn, in LP-index order, and at the bucket barrier all
+// cross-LP events produced during the bucket are merged in (timestamp,
+// source LP index, send sequence) order and scheduled into their
+// destination LPs. Everything runs on the calling goroutine: the
+// decomposition fixes the event order, and parallelism lives across runs
+// (runner.Pool), not within one.
 //
 // The conservative guarantee is the classic one (Chandy/Misra/Bryant): a
 // cross-LP event may not fire earlier than lookahead after its send time,
@@ -16,22 +18,15 @@
 // timestamp order, and no rollback machinery is needed. The physical
 // latencies of the model (the 15 ms tau_DiskWrite, the 25/45 ms flush
 // transfers) dwarf typical PDES lookahead, which is what makes this
-// profitable here.
+// natural here.
 //
-// Determinism. Worker count is invisible to the simulation: LPs share no
-// state during a bucket (a model obligation — each LP's handlers may touch
-// only that LP's components), each LP's dispatch order is fixed by its own
-// (time, seq) heap, and the barrier merge order is a total order computed
-// identically regardless of which goroutine ran which LP. A run with N
-// workers is therefore byte-identical to the same run with 1 worker — the
-// sequential reference execution — and a single-LP ParallelEngine reduces
-// exactly to the plain Engine (same seeds, same dispatch order).
+// LPs share no state during a bucket (a model obligation — each LP's
+// handlers may touch only that LP's components), so a single-LP
+// ParallelEngine reduces exactly to the plain Engine (same seeds, same
+// dispatch order).
 package sim
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // LP is one logical process of a parallel simulation. It embeds a full
 // Engine: model components attach to an LP exactly as they would to a
@@ -82,12 +77,10 @@ type xevent struct {
 }
 
 // ParallelEngine runs one simulation decomposed into LPs under
-// conservative synchronization. It is driven from a single goroutine
-// (Run); worker goroutines exist only inside Run, between barriers.
+// conservative synchronization, on the goroutine that calls Run.
 type ParallelEngine struct {
 	lps       []*LP
 	lookahead Time
-	workers   int
 	cursor    Time // next unprocessed instant (start of the next window)
 
 	// merge scratch, reused across barriers
@@ -97,23 +90,19 @@ type ParallelEngine struct {
 	delivered uint64 // cross-LP events merged at barriers
 }
 
-// NewParallelEngine builds an engine of n LPs with the given lookahead and
-// worker count. LP 0 is seeded with exactly the two given words — so a
-// 1-LP parallel engine is bit-for-bit the sequential NewEngine(seed1,
-// seed2) — and every further LP derives its own independent stream from
-// (seed1, seed2, index) via splitmix64. workers <= 1 runs every bucket on
-// the calling goroutine: the sequential reference execution.
-func NewParallelEngine(seed1, seed2 uint64, n int, lookahead Time, workers int) *ParallelEngine {
+// NewParallelEngine builds an engine of n LPs with the given lookahead.
+// LP 0 is seeded with exactly the two given words — so a 1-LP parallel
+// engine is bit-for-bit the sequential NewEngine(seed1, seed2) — and every
+// further LP derives its own independent stream from (seed1, seed2, index)
+// via splitmix64.
+func NewParallelEngine(seed1, seed2 uint64, n int, lookahead Time) *ParallelEngine {
 	if n <= 0 {
 		panic(fmt.Sprintf("sim: parallel engine needs at least one LP, got %d", n))
 	}
 	if lookahead <= 0 {
 		panic(fmt.Sprintf("sim: parallel engine needs positive lookahead, got %v", lookahead))
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	pe := &ParallelEngine{lookahead: lookahead, workers: workers}
+	pe := &ParallelEngine{lookahead: lookahead}
 	for i := 0; i < n; i++ {
 		s1, s2 := seed1, seed2
 		if i > 0 {
@@ -148,9 +137,6 @@ func (pe *ParallelEngine) LP(i int) *LP {
 // Lookahead reports the conservative window width.
 func (pe *ParallelEngine) Lookahead() Time { return pe.lookahead }
 
-// Workers reports the configured worker count.
-func (pe *ParallelEngine) Workers() int { return pe.workers }
-
 // Windows reports how many non-empty time buckets have executed.
 func (pe *ParallelEngine) Windows() uint64 { return pe.windows }
 
@@ -167,8 +153,7 @@ func (pe *ParallelEngine) Fired() uint64 {
 	return n
 }
 
-// nextEventAt scans every LP for the earliest pending event. Runs
-// single-threaded, at barriers.
+// nextEventAt scans every LP for the earliest pending event, at barriers.
 func (pe *ParallelEngine) nextEventAt() (Time, bool) {
 	var best Time
 	found := false
@@ -189,7 +174,9 @@ func (pe *ParallelEngine) bucketEnd(t Time) Time {
 // Run advances the whole simulation through time until (inclusive), like
 // Engine.Run: every event with timestamp <= until fires, in each LP's
 // (time, seq) order, and every LP's clock ends at until. Buckets with no
-// pending events anywhere are skipped without a barrier. Cross-LP events
+// pending events anywhere are skipped without a barrier. Within a bucket
+// the LPs run in index order; since they share no state, that order is
+// unobservable. Cross-LP events
 // whose timestamps land beyond until stay queued for a later Run.
 func (pe *ParallelEngine) Run(until Time) {
 	for pe.cursor <= until {
@@ -204,7 +191,9 @@ func (pe *ParallelEngine) Run(until Time) {
 		if capT > until {
 			capT = until
 		}
-		pe.runWindow(capT)
+		for _, lp := range pe.lps {
+			lp.Engine.Run(capT)
+		}
 		pe.deliver()
 		pe.windows++
 		pe.cursor = capT + 1
@@ -220,39 +209,9 @@ func (pe *ParallelEngine) Run(until Time) {
 	}
 }
 
-// runWindow dispatches every LP's events with timestamps <= capT. With one
-// worker the LPs run in index order on the calling goroutine — the
-// sequential reference — and with W workers LP i runs on goroutine i mod W.
-// The assignment is pure scheduling: LPs share no state inside a window,
-// so which goroutine runs an LP (and in what order relative to other LPs)
-// is unobservable.
-func (pe *ParallelEngine) runWindow(capT Time) {
-	if pe.workers <= 1 || len(pe.lps) == 1 {
-		for _, lp := range pe.lps {
-			lp.Engine.Run(capT)
-		}
-		return
-	}
-	w := pe.workers
-	if w > len(pe.lps) {
-		w = len(pe.lps)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := g; i < len(pe.lps); i += w {
-				pe.lps[i].Engine.Run(capT)
-			}
-		}(g)
-	}
-	wg.Wait()
-}
-
-// deliver runs at the bucket barrier, single-threaded: it gathers every
-// LP's outbox, orders the union by (timestamp, source LP, send sequence) —
-// a total order independent of worker scheduling — and schedules each
+// deliver runs at the bucket barrier: it gathers every LP's outbox, orders
+// the union by (timestamp, source LP, send sequence) — a total order
+// independent of the order the LPs ran in — and schedules each
 // event into its destination LP. Destination sequence numbers are assigned
 // in that same order, so cross-LP events with equal timestamps dispatch
 // deterministically: source LP index breaks the tie, then send order.

@@ -17,14 +17,11 @@ func TestParallelEngineConstruction(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("zero LPs", func() { NewParallelEngine(1, 2, 0, Millisecond, 1) })
-	mustPanic("zero lookahead", func() { NewParallelEngine(1, 2, 2, 0, 1) })
-	mustPanic("negative lookahead", func() { NewParallelEngine(1, 2, 2, -Millisecond, 1) })
+	mustPanic("zero LPs", func() { NewParallelEngine(1, 2, 0, Millisecond) })
+	mustPanic("zero lookahead", func() { NewParallelEngine(1, 2, 2, 0) })
+	mustPanic("negative lookahead", func() { NewParallelEngine(1, 2, 2, -Millisecond) })
 
-	pe := NewParallelEngine(1, 2, 4, Millisecond, 0) // workers clamp to 1
-	if pe.Workers() != 1 {
-		t.Fatalf("workers = %d, want 1", pe.Workers())
-	}
+	pe := NewParallelEngine(1, 2, 4, Millisecond)
 	if pe.NumLPs() != 4 {
 		t.Fatalf("LPs = %d, want 4", pe.NumLPs())
 	}
@@ -33,7 +30,7 @@ func TestParallelEngineConstruction(t *testing.T) {
 // TestSendContract covers the conservative guarantee's enforcement: a
 // cross-LP send below lookahead, or to a nonexistent LP, is a model bug.
 func TestSendContract(t *testing.T) {
-	pe := NewParallelEngine(1, 2, 2, 10*Millisecond, 1)
+	pe := NewParallelEngine(1, 2, 2, 10*Millisecond)
 	lp := pe.LP(0)
 	for name, fn := range map[string]func(){
 		"below lookahead": func() { lp.Send(1, 9*Millisecond, func() {}) },
@@ -54,9 +51,9 @@ func TestSendContract(t *testing.T) {
 }
 
 // TestSingleLPReducesToSequentialEngine is the reduction theorem at the
-// engine level: a 1-LP parallel engine, whatever the worker setting, is
-// bit-for-bit the plain Engine with the same seeds — same RNG stream, same
-// dispatch order, same clock positions.
+// engine level: a 1-LP parallel engine is bit-for-bit the plain Engine
+// with the same seeds — same RNG stream, same dispatch order, same clock
+// positions.
 func TestSingleLPReducesToSequentialEngine(t *testing.T) {
 	type record struct {
 		At   Time
@@ -86,7 +83,7 @@ func TestSingleLPReducesToSequentialEngine(t *testing.T) {
 		func(d Time, fn Handler) { seq.After(d, fn) },
 		seq.Rand().Uint64, seq.Run, seq.Now)
 
-	pe := NewParallelEngine(7, 11, 1, 3*Millisecond, 4)
+	pe := NewParallelEngine(7, 11, 1, 3*Millisecond)
 	lp := pe.LP(0)
 	parLog := run(func(at Time, fn Handler) { lp.At(at, fn) },
 		func(d Time, fn Handler) { lp.After(d, fn) },
@@ -111,7 +108,7 @@ func TestSingleLPReducesToSequentialEngine(t *testing.T) {
 // boundary" is the degenerate case conservative sync must survive).
 func TestBucketBoundaryEvent(t *testing.T) {
 	const L = 10 * Millisecond
-	pe := NewParallelEngine(1, 2, 2, L, 1)
+	pe := NewParallelEngine(1, 2, 2, L)
 	var order []string
 	// LP 0, at the first instant of bucket 0, sends with exactly lookahead
 	// delay: the event fires at time L — the first instant of bucket 1.
@@ -132,92 +129,32 @@ func TestBucketBoundaryEvent(t *testing.T) {
 
 // TestSimultaneousCrossLPEventsMergeDeterministically is the merge rule
 // itself: cross-LP events with equal timestamps dispatch by source LP
-// index first, then send sequence within the source — regardless of which
-// order the sending LPs happened to run in.
+// index first, then send sequence within the source — not in the order the
+// sends were issued.
 func TestSimultaneousCrossLPEventsMergeDeterministically(t *testing.T) {
 	const L = 5 * Millisecond
-	for _, workers := range []int{1, 2, 4} {
-		pe := NewParallelEngine(1, 2, 4, L, workers)
-		var order []string
-		record := func(tag string) func() {
-			return func() { order = append(order, tag) }
-		}
-		// LPs 2, 1 and 0 all send events firing at the same instant 2*L
-		// into LP 3. LP 2 sends two (seq order must hold within it), and
-		// the sends are issued at different times inside bucket 0.
-		pe.LP(2).At(0, func() {
-			pe.LP(2).Send(3, 2*L, record("lp2-first"))
-			pe.LP(2).Send(3, 2*L, record("lp2-second"))
-		})
-		pe.LP(1).At(2*Millisecond, func() {
-			pe.LP(1).Send(3, 2*L-2*Millisecond, record("lp1"))
-		})
-		pe.LP(0).At(4*Millisecond, func() {
-			pe.LP(0).Send(3, 2*L-4*Millisecond, record("lp0"))
-		})
-		pe.Run(3 * L)
-		want := []string{"lp0", "lp1", "lp2-first", "lp2-second"}
-		if !reflect.DeepEqual(order, want) {
-			t.Fatalf("workers=%d: merge order = %v, want %v", workers, order, want)
-		}
+	pe := NewParallelEngine(1, 2, 4, L)
+	var order []string
+	record := func(tag string) func() {
+		return func() { order = append(order, tag) }
 	}
-}
-
-// TestWorkerCountInvariance runs a communicating 8-LP token-ring model —
-// every hop a cross-LP send, every LP consuming its own RNG — under
-// several worker counts and demands identical traces. This is the PDES
-// determinism contract in miniature; the full-model version lives in
-// internal/multilog.
-func TestWorkerCountInvariance(t *testing.T) {
-	const L = Millisecond
-	type hop struct {
-		LP   int
-		At   Time
-		Draw uint64
-	}
-	runRing := func(workers int) ([]hop, uint64, uint64) {
-		pe := NewParallelEngine(42, 43, 8, L, workers)
-		// Handlers run on worker goroutines, so the trace is collected
-		// per-LP (each slice touched only by its own LP) and merged in
-		// index order after the run.
-		perLP := make([][]hop, 8)
-		var pass func(lp, hops int) Handler
-		pass = func(lp, hops int) Handler {
-			return func() {
-				self := pe.LP(lp)
-				perLP[lp] = append(perLP[lp], hop{LP: lp, At: self.Now(), Draw: self.Rand().Uint64()})
-				if hops == 0 {
-					return
-				}
-				next := (lp + 3) % 8
-				// Variable but deterministic delay >= lookahead.
-				d := L + Time(self.Rand().Uint64N(uint64(4*L)))
-				self.Send(next, d, pass(next, hops-1))
-			}
-		}
-		for i := 0; i < 8; i++ {
-			pe.LP(i).At(Time(i)*200, pass(i, 40))
-		}
-		pe.Run(2 * Second)
-		var merged []hop
-		for _, hs := range perLP {
-			merged = append(merged, hs...)
-		}
-		return merged, pe.Fired(), pe.Delivered()
-	}
-
-	base, baseFired, baseDelivered := runRing(1)
-	if baseDelivered == 0 {
-		t.Fatal("ring model produced no cross-LP events; test is vacuous")
-	}
-	for _, w := range []int{2, 4, 8} {
-		got, fired, delivered := runRing(w)
-		if fired != baseFired || delivered != baseDelivered {
-			t.Fatalf("workers=%d: fired/delivered %d/%d, want %d/%d", w, fired, delivered, baseFired, baseDelivered)
-		}
-		if !reflect.DeepEqual(got, base) {
-			t.Fatalf("workers=%d: trace diverged from sequential reference", w)
-		}
+	// LPs 2, 1 and 0 all send events firing at the same instant 2*L into
+	// LP 3. LP 2 sends two (seq order must hold within it), and the sends
+	// are issued at different times inside bucket 0, highest LP first.
+	pe.LP(2).At(0, func() {
+		pe.LP(2).Send(3, 2*L, record("lp2-first"))
+		pe.LP(2).Send(3, 2*L, record("lp2-second"))
+	})
+	pe.LP(1).At(2*Millisecond, func() {
+		pe.LP(1).Send(3, 2*L-2*Millisecond, record("lp1"))
+	})
+	pe.LP(0).At(4*Millisecond, func() {
+		pe.LP(0).Send(3, 2*L-4*Millisecond, record("lp0"))
+	})
+	pe.Run(3 * L)
+	want := []string{"lp0", "lp1", "lp2-first", "lp2-second"}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("merge order = %v, want %v", order, want)
 	}
 }
 
@@ -225,7 +162,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 // events are sparse relative to the lookahead must not pay a barrier per
 // empty bucket.
 func TestRunSkipsEmptyBuckets(t *testing.T) {
-	pe := NewParallelEngine(1, 2, 2, Millisecond, 1)
+	pe := NewParallelEngine(1, 2, 2, Millisecond)
 	fired := 0
 	pe.LP(0).At(0, func() { fired++ })
 	pe.LP(1).At(999*Millisecond, func() { fired++ })
@@ -246,7 +183,7 @@ func TestRunSkipsEmptyBuckets(t *testing.T) {
 // next Run, exactly like a local event would on the plain engine.
 func TestCrossEventBeyondHorizonStaysQueued(t *testing.T) {
 	const L = 10 * Millisecond
-	pe := NewParallelEngine(1, 2, 2, L, 1)
+	pe := NewParallelEngine(1, 2, 2, L)
 	fired := false
 	pe.LP(0).At(0, func() {
 		pe.LP(0).Send(1, 5*L, func() { fired = true })
