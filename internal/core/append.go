@@ -71,6 +71,7 @@ func (m *Manager) appendTail(gi int, c *cell, origin *slot) {
 	b.recs = append(b.recs, c.rec)
 	b.cells = append(b.cells, c)
 	c.buf = b
+	c.origin = origin
 	src := c.gen
 	c.gen = gi
 	c.arrived = m.at
@@ -285,46 +286,75 @@ func (m *Manager) writeFailed(b *buffer) {
 }
 
 // abandonWrite gives up on a block whose write errored past the retry
-// budget. Every record riding in the buffer is resolved the way the
-// overflow paths resolve records that cannot stay in the log: active and
-// committing transactions are killed (a committing transaction's COMMIT
-// was in the dead block, so it never becomes durable), committed updates
-// are force flushed to the stable database, and committed transactions'
-// tx records are retired by flushing their remaining updates. Afterwards
-// nothing references the block, so its slot is reclaimable as all-garbage.
+// budget. Every live record riding in the buffer is resolved by whether
+// its transaction's outcome can still become durable:
+//
+//   - an active transaction, and a committing or preparing one whose
+//     COMMIT or PREPARE was in the dead block, is killed — its outcome
+//     record never becomes durable, so no one has been or will be told
+//     it committed (the kill-on-overflow contract);
+//   - a committing or preparing transaction whose COMMIT or PREPARE rides
+//     in another buffer, and a prepared (in-doubt) branch, is not: that
+//     record becomes (or is) durable, recovery calls the transaction a
+//     winner or in doubt, and its records must be on disk. They are
+//     re-logged at the generation's tail. A re-logged record that had been
+//     moved here keeps its origin block sheltered until the new copy is
+//     durable, since that block holds its only durable copy;
+//   - a committed update is force flushed to the stable database, and a
+//     committed transaction's tx record is retired by flushing its
+//     remaining updates.
+//
+// Afterwards nothing references the block, so its slot is reclaimable as
+// all-garbage.
 func (m *Manager) abandonWrite(b *buffer) {
 	g := b.gen
 	m.abandonedWrites.Inc()
+	relog := m.takeCells()
+	defer func() { m.putCells(relog) }()
 	for i, c := range b.cells {
 		if c.rec != b.recs[i] || !c.inList {
 			continue // the record is garbage already
 		}
+		e := c.tx
 		switch {
-		case c.tx.state == txActive || c.tx.state == txCommitting || c.tx.state == txPreparing:
-			// A preparing branch's vote was in the dead block, so it never
-			// became durable; killing the branch is sound — the coordinator
-			// cannot have decided commit without it. (A txPrepared branch
-			// cannot appear here: fault retries are never armed on sharded
-			// systems, and 2PC states exist only behind the 2PC overlay.)
-			m.dropTx(c.tx, true)
+		case e.state == txActive,
+			(e.state == txCommitting || e.state == txPreparing) && e.txCell.buf == b:
+			m.dropTx(e, true)
+		case e.state == txCommitting || e.state == txPreparing || e.state == txPrepared:
+			m.gens[c.gen].list.remove(c)
+			if c.origin != nil {
+				c.origin.refugees++ // held across the recycle below
+			}
+			relog = append(relog, c)
 		case c.rec.Kind == logrec.KindData && c.committed:
 			m.forceFlushCell(c)
-		case (c.rec.Kind == logrec.KindCommit || c.rec.Kind == logrec.KindDecide) && c.tx.state == txCommitted:
-			m.forceFlushTx(c.tx)
+		case (c.rec.Kind == logrec.KindCommit || c.rec.Kind == logrec.KindDecide) && e.state == txCommitted:
+			m.forceFlushTx(e)
 		}
 	}
-	// The old durable copies of any forwarded records just became garbage
-	// along with their cells, so their origin slots no longer shelter
-	// refugees.
+	// The dead block's claims on the blocks its records were moved out of
+	// end here; the holds above keep the re-logged records' claims.
 	for _, o := range b.origins {
 		o.refugees--
 	}
 	// The slot's durable contents are its previous bytes — stale records
 	// recovery discards — and no live cell points at it, so for the
 	// manager's accounting it is a durable all-garbage block.
-	b.slot.state = slotDurable
+	dead := b.slot
+	dead.state = slotDurable
 	m.putToken(g)
 	m.recycleBuffer(b)
+	// A record new to the log in the dead block has no durable copy to
+	// shelter; the dead slot stands in as its origin, so it re-enters as a
+	// move rather than as a new append.
+	for _, c := range relog {
+		if from := c.origin; from != nil {
+			m.appendTail(g.idx, c, from)
+			from.refugees-- // the new buffer holds the claim now
+		} else {
+			m.appendTail(g.idx, c, dead)
+		}
+	}
 }
 
 func (m *Manager) takeToken(g *generation) {

@@ -25,6 +25,12 @@ type cell struct {
 	// durable. It decides who recycles rec: the buffer when its write ends,
 	// or the cell when it dies with no buffer holding the record.
 	buf *buffer
+	// origin is the block rec was last moved out of (forwarding,
+	// recirculation, regeneration) while that block still held its only
+	// durable copy; nil for a record that entered the log in buf. Read only
+	// while buf is set: abandonWrite keeps it sheltered for a re-logged
+	// record.
+	origin *slot
 
 	obj        *lotEntry // owning LOT entry (data records only)
 	tx         *lttEntry // owning transaction

@@ -188,3 +188,89 @@ func TestFaultsArmedButIdleIsIdentical(t *testing.T) {
 		t.Fatalf("armed-but-idle run diverged:\n%v\nvs\n%v", a, b)
 	}
 }
+
+// genInjector fails every block write to one generation while armed.
+type genInjector struct {
+	gen   int
+	armed bool
+}
+
+func (g *genInjector) BlockWriteFault(gen, size int) blockdev.WriteFault {
+	return blockdev.WriteFault{Fail: g.armed && gen == g.gen}
+}
+
+// An abandoned block can carry records of a transaction whose COMMIT rides
+// in another buffer. Its COMMIT will become durable, so those records are
+// re-logged, not killed; and one that had been forwarded into the dead
+// block keeps the block it came from sheltered until the re-logged copy
+// is durable — that block holds the record's only durable copy, and
+// releasing it early would let the tail overwrite it while the commit is
+// acknowledged.
+func TestAbandonRelogsCommittingAndKeepsOriginSheltered(t *testing.T) {
+	s := testSetup(t, Params{Mode: ModeEphemeral, GenSizes: []int{4, 8}, BlockPayload: 100})
+	m := s.LM
+	m.EnableFaultRetries(1, sim.Millisecond)
+	inj := &genInjector{gen: 1, armed: true}
+	s.Dev.SetInjector(inj)
+	var killed []logrec.TxID
+	m.SetKillHandler(func(tid logrec.TxID) { killed = append(killed, tid) })
+
+	// One-record blocks: each write seals the last, and generation 0 wraps
+	// after a few, forwarding the transaction's durable records into
+	// generation 1, whose writes all fail.
+	m.Begin(1)
+	origins := map[*cell]*slot{}
+	for i := 0; m.Stats().Forwarded == 0; i++ {
+		if i == 8 {
+			t.Fatal("no record forwarded after 8 one-record blocks")
+		}
+		for c := m.mustTx(1).cells; c != nil; c = c.txNext {
+			if c.gen == 0 && c.slot != nil && c.slot.state == slotDurable {
+				origins[c] = c.slot
+			}
+		}
+		m.WriteData(1, logrec.OID(10+i), 84)
+		s.Eng.Run(s.Eng.Now() + 20*sim.Millisecond)
+	}
+	// The COMMIT lands in generation 0's open fill buffer and waits there;
+	// the forward buffer's write fails twice and is abandoned meanwhile.
+	acked := false
+	m.Commit(1, func() { acked = true })
+	s.Eng.Run(s.Eng.Now() + 100*sim.Millisecond)
+	if st := m.Stats(); st.AbandonedWrites == 0 {
+		t.Fatalf("the forward buffer was not abandoned: %+v", st)
+	}
+	if len(killed) != 0 || acked {
+		t.Fatalf("killed %v, acked %v: want the committing transaction alive and unacknowledged", killed, acked)
+	}
+	relogged := 0
+	for c := m.mustTx(1).cells; c != nil; c = c.txNext {
+		o, moved := origins[c]
+		if !moved || c.gen != 1 || c.buf == nil {
+			continue
+		}
+		relogged++
+		if o.refugees == 0 {
+			t.Fatalf("origin slot %d of re-logged record %v released before the new copy is durable", o.id, c.rec)
+		}
+	}
+	if relogged == 0 {
+		t.Fatal("no forwarded record of the committing transaction was re-logged")
+	}
+	assertInv(t, m)
+
+	// Once writes succeed again everything drains: the commit is
+	// acknowledged and every shelter is released.
+	inj.armed = false
+	m.Quiesce()
+	s.Eng.Run(s.Eng.Now() + 5*sim.Second)
+	if !acked {
+		t.Fatal("commit never acknowledged after the re-logged records became durable")
+	}
+	for _, o := range origins {
+		if o.refugees != 0 {
+			t.Fatalf("origin slot %d still shelters %d refugees after draining", o.id, o.refugees)
+		}
+	}
+	assertInv(t, m)
+}

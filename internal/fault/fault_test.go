@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"fmt"
 	"testing"
 
 	"ellog/internal/blockdev"
@@ -145,83 +146,96 @@ func hybridBase(base harness.Config) harness.Config {
 	return base
 }
 
-// A chaos run under transient write failures completes, injects and
-// retries faults, keeps the manager's invariants, and — once drained — the
-// crash image still recovers exactly the acknowledged commits: retry
-// windows have closed, abandoned blocks' committed updates were force
-// flushed, so the strict oracle holds again.
-func TestChaosRunWriteFailuresKeepAckedCommits(t *testing.T) {
-	live, err := harness.Build(chaosBase(7))
-	if err != nil {
-		t.Fatal(err)
+// writeFailSweep runs base under transient write failures for every fault
+// seed 1–40 at each of three rates. Each run must inject and retry
+// faults, keep the manager's invariants, and — once drained — recover
+// exactly the acknowledged commits: retry windows have closed, abandoned
+// blocks' committed updates were force flushed and the records of
+// transactions whose COMMIT was elsewhere were re-logged, so the strict
+// oracle holds again. The high rates abandon blocks in most runs, which is
+// where a transaction killed with its COMMIT still on its way to disk
+// shows up as a lost acknowledged commit. check adds per-run assertions.
+func writeFailSweep(t *testing.T, base harness.Config, check func(*harness.Live, *Plan, *trace.Ring) error) {
+	t.Helper()
+	var runs, abandoned, failed int
+	for _, wf := range []float64{0.25, 0.4, 0.5} {
+		for seed := uint64(1); seed <= 40; seed++ {
+			err := func() error {
+				live, err := harness.Build(base)
+				if err != nil {
+					return err
+				}
+				ring := trace.NewRing(64)
+				live.Setup.LM.SetTracer(ring)
+				plan, err := Attach(live.Setup, Config{Seed: seed, WriteFailProb: wf})
+				if err != nil {
+					return err
+				}
+				plan.SetTracer(ring)
+				live.Setup.Eng.Run(time30())
+				ps, ls := plan.Stats(), live.Setup.LM.Stats()
+				if ps.WriteFails == 0 || ls.WriteRetries == 0 || live.Gen.Stats().Committed == 0 {
+					return fmt.Errorf("chaos without power: %d writes failed, %d retries, %d commits",
+						ps.WriteFails, ls.WriteRetries, live.Gen.Stats().Committed)
+				}
+				if ls.WriteErrors != ps.WriteFails {
+					return fmt.Errorf("manager saw %d write errors, plan injected %d", ls.WriteErrors, ps.WriteFails)
+				}
+				if ls.AbandonedWrites > 0 {
+					abandoned++
+				}
+				if err := check(live, plan, ring); err != nil {
+					return err
+				}
+				if err := live.Setup.LM.CheckInvariants(); err != nil {
+					return fmt.Errorf("invariants violated after chaos: %w", err)
+				}
+				recovered, _, err := recovery.Recover(live.Setup.Dev, live.Setup.DB, 0)
+				if err != nil {
+					return err
+				}
+				if err := recovery.VerifyOracle(recovered, live.Gen.Oracle()); err != nil {
+					return fmt.Errorf("acked commit lost under write-failure chaos: %w", err)
+				}
+				return nil
+			}()
+			runs++
+			if err != nil {
+				failed++
+				t.Errorf("fault seed %d, write-fail %.2f: %v", seed, wf, err)
+			}
+		}
 	}
-	ring := trace.NewRing(4096)
-	live.Setup.LM.SetTracer(ring)
-	plan, err := Attach(live.Setup, Config{Seed: 3, WriteFailProb: 0.25})
-	if err != nil {
-		t.Fatal(err)
+	if abandoned == 0 {
+		t.Fatalf("none of %d runs abandoned a block write; the sweep has no power", runs)
 	}
-	plan.SetTracer(ring)
-	live.Setup.Eng.Run(time30())
-
-	ps := plan.Stats()
-	if ps.WriteFails == 0 {
-		t.Fatal("25% write-failure chaos injected nothing")
-	}
-	ls := live.Setup.LM.Stats()
-	if ls.WriteErrors != ps.WriteFails {
-		t.Fatalf("manager saw %d write errors, plan injected %d", ls.WriteErrors, ps.WriteFails)
-	}
-	if ls.WriteRetries == 0 {
-		t.Fatal("no retries despite write failures")
-	}
-	if ring.Count(trace.EvFault) != ps.WriteFails {
-		t.Fatalf("EvFault count %d != injected %d", ring.Count(trace.EvFault), ps.WriteFails)
-	}
-	if ring.Count(trace.EvRetry) != ls.WriteRetries {
-		t.Fatalf("EvRetry count %d != retries %d", ring.Count(trace.EvRetry), ls.WriteRetries)
-	}
-	if err := live.Setup.LM.CheckInvariants(); err != nil {
-		t.Fatalf("invariants violated after chaos: %v", err)
-	}
-	recovered, _, err := recovery.Recover(live.Setup.Dev, live.Setup.DB, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if live.Gen.Stats().Committed == 0 {
-		t.Fatal("no transaction survived the chaos run; test has no power")
-	}
-	if err := recovery.VerifyOracle(recovered, live.Gen.Oracle()); err != nil {
-		t.Fatalf("acked commit lost under write-failure chaos: %v", err)
+	if failed > 0 {
+		t.Errorf("%d of %d runs failed (%d abandoned a block write)", failed, runs, abandoned)
 	}
 }
 
-// The hybrid under the same write-failure chaos: the run drains with its
-// invariants whole, and recovery returns exactly the acknowledged commits.
+func TestChaosRunWriteFailuresKeepAckedCommits(t *testing.T) {
+	writeFailSweep(t, chaosBase(7), func(live *harness.Live, plan *Plan, ring *trace.Ring) error {
+		if n, want := ring.Count(trace.EvFault), plan.Stats().WriteFails; n != want {
+			return fmt.Errorf("EvFault count %d != injected %d", n, want)
+		}
+		if n, want := ring.Count(trace.EvRetry), live.Setup.LM.Stats().WriteRetries; n != want {
+			return fmt.Errorf("EvRetry count %d != retries %d", n, want)
+		}
+		return nil
+	})
+}
+
+// The hybrid under the same sweep: its forwarding regenerates whole
+// transactions into the failing writes.
 func TestChaosHybridWriteFailuresKeepAckedCommits(t *testing.T) {
-	live, err := harness.Build(hybridBase(chaosBase(7)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := Attach(live.Setup, Config{Seed: 3, WriteFailProb: 0.25, CorruptProb: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	live.Setup.Eng.Run(time30())
-	ls := live.Setup.LM.Stats()
-	if plan.Stats().WriteFails == 0 || ls.Forwarded == 0 || live.Gen.Stats().Committed == 0 {
-		t.Fatalf("chaos without power: %d writes failed, %d records forwarded, %d commits",
-			plan.Stats().WriteFails, ls.Forwarded, live.Gen.Stats().Committed)
-	}
-	if err := live.Setup.LM.CheckInvariants(); err != nil {
-		t.Fatalf("invariants violated after chaos: %v", err)
-	}
-	recovered, _, err := recovery.Recover(live.Setup.Dev, live.Setup.DB, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := recovery.VerifyOracle(recovered, live.Gen.Oracle()); err != nil {
-		t.Fatalf("acked commit lost under write-failure chaos: %v", err)
+	forwarded := false
+	writeFailSweep(t, hybridBase(chaosBase(7)), func(live *harness.Live, _ *Plan, _ *trace.Ring) error {
+		forwarded = forwarded || live.Setup.LM.Stats().Forwarded > 0
+		return nil
+	})
+	if !forwarded {
+		t.Fatal("no hybrid run forwarded a record")
 	}
 }
 
