@@ -244,28 +244,31 @@ func Recover(dev Image, db *statedb.DB, blockRead sim.Time) (*statedb.DB, Result
 
 // VerifyOracle checks a recovered database against ground truth: the
 // latest durably-committed LSN per object (as tracked by the workload
-// generator). It returns the first discrepancy, or nil if the recovered
-// state is exactly the committed state.
+// generator). It returns the discrepancy with the lowest object id — the
+// same one on every call, whatever order the maps iterate in — or nil if
+// the recovered state is exactly the committed state.
 func VerifyOracle(recovered *statedb.DB, oracle map[logrec.OID]logrec.LSN) error {
-	for oid, lsn := range oracle {
-		v, ok := recovered.Get(oid)
-		if !ok {
-			return &MismatchError{Obj: oid, Want: lsn, Got: 0, Missing: true}
-		}
-		if v.LSN != lsn {
-			return &MismatchError{Obj: oid, Want: lsn, Got: v.LSN}
+	var first *MismatchError
+	note := func(e *MismatchError) {
+		if first == nil || e.Obj < first.Obj {
+			first = e
 		}
 	}
-	var err error
+	for oid, lsn := range oracle {
+		if v, ok := recovered.Get(oid); !ok || v.LSN != lsn {
+			note(&MismatchError{Obj: oid, Want: lsn, Got: v.LSN, Missing: !ok})
+		}
+	}
 	recovered.Range(func(oid logrec.OID, v statedb.Version) bool {
-		want, ok := oracle[oid]
-		if !ok || want != v.LSN {
-			err = &MismatchError{Obj: oid, Want: want, Got: v.LSN, Extra: !ok}
-			return false
+		if _, ok := oracle[oid]; !ok {
+			note(&MismatchError{Obj: oid, Got: v.LSN, Extra: true})
 		}
 		return true
 	})
-	return err
+	if first == nil {
+		return nil
+	}
+	return first
 }
 
 // MismatchError reports a recovery discrepancy.

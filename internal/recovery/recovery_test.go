@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"errors"
 	"math/rand/v2"
 	"testing"
 
@@ -377,6 +378,28 @@ func TestVerifyOracleDetectsDivergence(t *testing.T) {
 	}
 	if err := VerifyOracle(db, map[logrec.OID]logrec.LSN{}); err == nil {
 		t.Fatal("leaked object accepted")
+	}
+}
+
+// With several mismatches VerifyOracle names the lowest object id, on
+// every call: map iteration order must not pick the report.
+func TestVerifyOracleReportsLowestMismatch(t *testing.T) {
+	db := statedb.New()
+	for oid := logrec.OID(1); oid <= 64; oid++ {
+		db.Apply(oid, logrec.LSN(oid), 100, 1)
+	}
+	oracle := map[logrec.OID]logrec.LSN{}
+	for oid := logrec.OID(1); oid <= 64; oid++ {
+		oracle[oid] = logrec.LSN(oid)
+	}
+	oracle[41] = 1000  // recovered at LSN 41, committed 1000
+	delete(oracle, 37) // recovered but never committed
+	for i := 0; i < 20; i++ {
+		err := VerifyOracle(db, oracle)
+		var me *MismatchError
+		if !errors.As(err, &me) || me.Obj != 37 || !me.Extra {
+			t.Fatalf("call %d: got %v, want the leaked object 37", i, err)
+		}
 	}
 }
 
