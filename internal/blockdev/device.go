@@ -116,9 +116,6 @@ func New(eng *sim.Engine, latency sim.Time) *Device {
 	}
 }
 
-// Latency returns the configured block write latency.
-func (d *Device) Latency() sim.Time { return d.latency }
-
 // SetInjector attaches a fault injector; nil detaches it. With no injector
 // every write is clean and the device is byte-identical to the fault-free
 // model.

@@ -530,9 +530,6 @@ func (d *Device) PendingSlots() []blockdev.BlockID {
 // Dir returns the device's log directory.
 func (d *Device) Dir() string { return d.dir }
 
-// NumSlots reports how many slots have been allocated.
-func (d *Device) NumSlots() int { return int(d.nextID) }
-
 // Close closes the file of a drained device: the owner of the lifecycle
 // (Live.Shutdown) has run the loop until InFlight reported zero. It neither
 // runs the loop nor fires a completion; writes still unacknowledged are a

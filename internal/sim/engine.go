@@ -74,11 +74,6 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // Pending reports how many events are currently scheduled.
 func (e *Engine) Pending() int { return len(e.heap) }
 
-// ArenaSlots reports the slab's current slot count — the peak number of
-// simultaneously pending events seen so far. Exposed for the perf harness
-// and allocation tests.
-func (e *Engine) ArenaSlots() int { return len(e.slab) }
-
 // alloc takes a slot off the free list (or grows the slab), stamps a fresh
 // generation, and returns its index.
 func (e *Engine) alloc() int32 {
