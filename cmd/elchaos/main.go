@@ -19,9 +19,16 @@
 //	                                durable, verifying atomicity at each
 //	                                point
 //
+// A chaos run is assembled by multilog.BuildPDES as max(1, -shards)
+// shards, each with its own fault plan; shard 0's plan draws from exactly
+// -fault-seed, so a 1-shard run is the classic single-log chaos run. The
+// drained machine is crashed whole and recovered, in-doubt 2PC branches
+// resolved against the coordinators' logs.
+//
 // Examples:
 //
 //	elchaos -write-fail 0.25 -corrupt 0 -runtime 10
+//	elchaos -shards 3 -cross-frac 0.3 -write-fail 0.25 -corrupt 0
 //	elchaos -campaign -max-points 60 -workers 4
 //	elchaos -campaign -config cfg.json -torn-fracs 0.25,0.75
 //	elchaos -campaign -shards 3 -cross-frac 0.3 -max-points 200
@@ -60,8 +67,8 @@ func main() {
 		maxPoints = flag.Int("max-points", 0, "campaign: bound the sweep to ~N points spanning the run (0 = all)")
 		tornFracs = flag.String("torn-fracs", "", "campaign: comma-separated torn prefix fractions (default 0.3,0.7)")
 		workers   = flag.Int("workers", 0, "campaign: parallel crash-point runs (0 = GOMAXPROCS)")
-		shards    = flag.Int("shards", 0, "campaign: run sharded with this many shards and sweep cross-shard atomicity (>= 2)")
-		crossFrac = flag.Float64("cross-frac", 0.3, "campaign: share of each shard's arrivals spanning two shards (with -shards)")
+		shards    = flag.Int("shards", 0, "run as this many shards, each with its own fault plan; with -campaign (>= 2), sweep cross-shard atomicity")
+		crossFrac = flag.Float64("cross-frac", 0.3, "share of each shard's arrivals spanning two shards (with -shards)")
 
 		faultSeed = flag.Uint64("fault-seed", 1, "chaos: fault plan seed")
 		writeFail = flag.Float64("write-fail", 0.1, "chaos: transient write-error probability per block write")
@@ -86,30 +93,34 @@ func main() {
 	if *runtimeS > 0 {
 		cfg.RuntimeS = *runtimeS
 	}
-	hcfg, err := cfg.ToHarness()
-	if err != nil {
-		fatal(err)
+	if *shards > 0 {
+		cfg.Shards = *shards
+	}
+	if *shards > 1 {
+		cfg.CrossFrac = *crossFrac // cross-shard traffic needs a second shard
+	}
+	// Each shard's object range must split evenly over its flush drives;
+	// round the total down so the division works out.
+	if q := uint64(max(1, cfg.Shards) * cfg.FlushDrives); q > 0 && cfg.NumObjects%q != 0 {
+		cfg.NumObjects -= cfg.NumObjects % q
 	}
 
 	if *campaign {
 		if cfg.Faults != nil && cfg.Faults.ToFault().Active() {
 			fatal(fmt.Errorf("campaign bases must be fault-free: drop the faults section (crashes are the campaign's fault model)"))
 		}
-		if *shards > 0 {
-			cfg.Shards = *shards
-			cfg.CrossFrac = *crossFrac
-		}
 		if cfg.Shards > 1 {
 			runCrossCampaign(cfg, *maxPoints, *workers)
 			return
 		}
+		hcfg, err := cfg.ToHarness()
+		if err != nil {
+			fatal(err)
+		}
 		runCampaign(hcfg, *tornFracs, *maxPoints, *workers)
 		return
 	}
-	if *shards > 0 {
-		fatal(fmt.Errorf("-shards is a campaign mode; add -campaign (chaos I/O faults are single-log only)"))
-	}
-	runChaos(cfg, hcfg, chaosConfig(cfg, *faultSeed, *writeFail, *corrupt, *slow, *stall), *verbose)
+	runChaos(cfg, chaosConfig(cfg, *faultSeed, *writeFail, *corrupt, *slow, *stall), *verbose)
 }
 
 // smallConfig is a deliberately small run — a couple of simulated seconds,
@@ -161,77 +172,102 @@ func chaosConfig(cfg config.SimConfig, faultSeed uint64, writeFail, corrupt, slo
 	return base
 }
 
-// runChaos runs the workload under fire, drains it, and verifies that the
-// crash image still recovers every acknowledged commit.
-func runChaos(cfg config.SimConfig, hcfg harness.Config, fc fault.Config, verbose bool) {
-	live, err := harness.Build(hcfg)
+// runChaos runs the workload under fire, one fault plan per shard,
+// drains it, and verifies that the whole machine's crash image still
+// recovers every acknowledged commit.
+func runChaos(cfg config.SimConfig, fc fault.Config, verbose bool) {
+	pcfg, err := cfg.ToPDES()
 	if err != nil {
 		fatal(err)
 	}
-	plan, err := fault.Attach(live.Setup, fc)
+	live, err := multilog.BuildPDES(pcfg)
 	if err != nil {
 		fatal(err)
 	}
-	// Chaos runs are deliberately small, so recording the complete event
-	// stream is cheap; a failing run can then be dumped byte-for-byte and
-	// triaged offline with eltrace, instead of rerunning under a debugger.
-	ring := trace.NewRing(2048)
-	capture := &obs.Capture{}
-	sink := obs.Multi(ring, capture)
-	live.Setup.LM.SetTracer(sink)
-	plan.SetTracer(sink)
+	plans, err := live.AttachFaults(fc)
+	if err != nil {
+		fatal(err)
+	}
+	// Chaos runs are deliberately small, so recording every shard's
+	// complete event stream is cheap; a failing run can then be dumped
+	// byte-for-byte and triaged offline with eltrace, instead of rerunning
+	// under a debugger.
+	n := len(live.Shards)
+	rings := make([]*trace.Ring, n)
+	captures := make([]*obs.Capture, n)
+	for i, s := range live.Shards {
+		rings[i], captures[i] = trace.NewRing(2048), &obs.Capture{}
+		sink := obs.Multi(rings[i], captures[i])
+		s.Setup.LM.SetTracer(sink)
+		plans[i].SetTracer(sink)
+	}
 	fail := func(format string, args ...any) {
 		fmt.Printf(format, args...)
-		fmt.Printf("--- last 40 trace events ---\n%s", ring.Dump(40))
-		path := fmt.Sprintf("elchaos-chaos-seed%d.jsonl", hcfg.Seed)
-		if werr := obs.WriteJSONLFile(path, capture.Events); werr != nil {
-			fmt.Fprintln(os.Stderr, "elchaos: writing trace dump:", werr)
-		} else {
-			fmt.Printf("full trace (%d events) written to %s (inspect with: go run ./cmd/eltrace -in %s)\n",
-				len(capture.Events), path, path)
+		for i, c := range captures {
+			fmt.Printf("--- shard %d: last 40 trace events ---\n%s", i, rings[i].Dump(40))
+			path := obs.ShardPath(fmt.Sprintf("elchaos-chaos-seed%d.jsonl", pcfg.Seed), i, n)
+			if err := obs.WriteJSONLFile(path, c.Events); err != nil {
+				fmt.Fprintln(os.Stderr, "elchaos: writing trace dump:", err)
+			} else {
+				fmt.Printf("full trace (%d events) written to %s (inspect with: go run ./cmd/eltrace -in %s)\n",
+					len(c.Events), path, path)
+			}
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("chaos: %s, generations %v, %s, seed %d; fault seed %d (write-fail %.3f, corrupt %.3f, slow %.3f, stall %.3f)\n",
-		strings.ToUpper(cfg.Mode), cfg.Generations,
-		sim.Time(cfg.RuntimeS*float64(sim.Second)), hcfg.Seed,
+	fmt.Printf("chaos: %s, generations %v, %s, %d shard(s) (cross frac %.2f), seed %d; fault seed %d (write-fail %.3f, corrupt %.3f, slow %.3f, stall %.3f)\n",
+		strings.ToUpper(cfg.Mode), cfg.Generations, pcfg.Workload.Runtime, n, pcfg.CrossFrac, pcfg.Seed,
 		fc.Seed, fc.WriteFailProb, fc.CorruptProb, fc.SlowProb, fc.StallProb)
 
-	// Run past the workload runtime so retry windows close and abandoned
-	// blocks' committed updates reach the flush disks.
-	live.Setup.Eng.Run(hcfg.Workload.Runtime + 30*sim.Second)
+	// Run past the workload runtime so retry windows close, abandoned
+	// blocks' committed updates reach the flush disks and 2PC rounds end.
+	live.PE.Run(pcfg.Workload.Runtime + 30*sim.Second)
 
-	ps := plan.Stats()
-	ls := live.Setup.LM.Stats()
-	ws := live.Gen.Stats()
+	var ps fault.Stats
+	for _, p := range plans {
+		ps.Add(p.Stats())
+	}
+	st := live.Stats()
+	var errs, retries, abandoned uint64
+	for _, s := range st.PerShard {
+		errs, retries, abandoned = errs+s.WriteErrors, retries+s.WriteRetries, abandoned+s.AbandonedWrites
+	}
 	fmt.Printf("faults injected: %d write failures, %d corruptions, %d slowdowns, %d stalls\n",
 		ps.WriteFails, ps.Corruptions, ps.Slowdowns, ps.Stalls)
 	fmt.Printf("manager: %d write errors seen, %d retries, %d writes abandoned, %d transactions killed\n",
-		ls.WriteErrors, ls.WriteRetries, ls.AbandonedWrites, ws.Killed)
+		errs, retries, abandoned, st.Killed)
 	if verbose {
-		fmt.Print(ls)
-		fmt.Printf("workload: %d started, %d committed, %d killed; end-to-end mean %.3fs p99 %.3fs\n",
-			ws.Started, ws.Committed, ws.Killed, ws.EndToEndMean, ws.EndToEndP99)
+		fmt.Print(st)
 	}
-	if err := live.Setup.LM.CheckInvariants(); err != nil {
-		fail("verdict: FAIL — manager invariants violated after chaos: %v\n", err)
+	for i, s := range live.Shards {
+		if err := s.Setup.LM.CheckInvariants(); err != nil {
+			fail("verdict: FAIL — shard %d: manager invariants violated after chaos: %v\n", i, err)
+		}
 	}
-	recovered, rres, err := recovery.Recover(live.Setup.Dev, live.Setup.DB, 0)
+	recovered, report, err := multilog.RecoverAll(live.Setups(), 0)
 	if err != nil {
 		fail("verdict: FAIL — recovery died on the chaos image: %v\n", err)
 	}
+	var blocks, torn, salvaged, winners int
+	for _, r := range report.Per {
+		blocks, torn, salvaged, winners = blocks+r.BlocksRead, torn+r.TornBlocks, salvaged+r.SalvagedRecs, winners+r.Winners
+	}
 	fmt.Printf("recovery: %d blocks read, %d torn/corrupt blocks detected, %d records salvaged, %d winners\n",
-		rres.BlocksRead, rres.TornBlocks, rres.SalvagedRecs, rres.Winners)
+		blocks, torn, salvaged, winners)
+	if report.InDoubt > 0 {
+		fmt.Printf("2PC: %d in-doubt branches (%d resolved commit, %d presumed abort)\n",
+			report.InDoubt, report.ResolvedCommit, report.ResolvedAbort)
+	}
 	if fc.CorruptProb > 0 {
 		// Silent corruption may legitimately discard durable suffixes, so the
 		// strict oracle does not apply; surviving recovery is the contract.
 		fmt.Println("verdict: PASS — recovery survived the corrupt image (oracle check skipped: corruption armed)")
 		return
 	}
-	if err := recovery.VerifyOracle(recovered, live.Gen.Oracle()); err != nil {
+	if err := recovery.VerifyOracle(recovered, live.Oracle()); err != nil {
 		fail("verdict: FAIL — acknowledged commit lost under chaos: %v\n", err)
 	}
-	fmt.Printf("verdict: PASS — all %d acknowledged commits recovered exactly\n", ws.Committed)
+	fmt.Printf("verdict: PASS — all %d acknowledged commits recovered exactly\n", st.Committed+st.CrossCommitted)
 }
 
 // runCampaign sweeps crash points over the fault-free base configuration.
@@ -284,11 +320,6 @@ func runCrossCampaign(cfg config.SimConfig, maxPoints, workers int) {
 		// for most of the run — almost no durable instants to crash at.
 		// Bound the seal delay so the sweep is dense.
 		cfg.GroupCommitTimeoutMS = 20
-	}
-	// Each shard's object range must split evenly over its flush drives;
-	// round the total down so the division works out.
-	if q := uint64(cfg.Shards * cfg.FlushDrives); q > 0 && cfg.NumObjects%q != 0 {
-		cfg.NumObjects -= cfg.NumObjects % q
 	}
 	pcfg, err := cfg.ToPDES()
 	if err != nil {

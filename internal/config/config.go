@@ -58,11 +58,11 @@ type SimConfig struct {
 
 	// Sharding (multilog). Shards > 1 runs the configuration as a
 	// shared-nothing sharded system: each shard gets its own log of
-	// Generations blocks, its own FlushDrives, an equal slice of NumObjects
-	// and its own ArrivalRate. CrossFrac is the share of each shard's
-	// arrivals that start as two-branch transactions with a branch on
-	// another shard, committed by 2PC in the log. Zero values mean the
-	// classic single-log run.
+	// Generations blocks, its own FlushDrives, an equal slice of NumObjects,
+	// its own ArrivalRate and, when Faults is armed, its own fault plan.
+	// CrossFrac is the share of each shard's arrivals that start as
+	// two-branch transactions with a branch on another shard, committed by
+	// 2PC in the log. Zero values mean the classic single-log run.
 	Shards    int     `json:"shards,omitempty"`
 	CrossFrac float64 `json:"cross_shard_frac,omitempty"`
 
@@ -227,22 +227,20 @@ func (c SimConfig) ToHarness() (harness.Config, error) {
 	return cfg, nil
 }
 
-// ToPDES converts to a runnable sharded configuration: every shard
-// becomes one logical process with its own slice of the object space and
-// its own ArrivalRate, and CrossFrac becomes the 2PC overlay's share of
-// each shard's arrivals. A single shard is allowed (it reduces exactly to
-// the sequential harness run).
+// ToPDES converts to a runnable configuration of max(1, Shards) shards:
+// every shard becomes one logical process with its own slice of the object
+// space and its own ArrivalRate, and CrossFrac becomes the 2PC overlay's
+// share of each shard's arrivals. One shard is the classic single-log run,
+// bit for bit. The faults section is not part of the result: callers
+// attach it per shard (multilog.PDESLive.AttachFaults).
 func (c SimConfig) ToPDES() (multilog.PDESConfig, error) {
 	var pcfg multilog.PDESConfig
-	if c.Shards < 1 {
-		return pcfg, fmt.Errorf("config: pdes run needs shards >= 1, have %d", c.Shards)
+	if c.Shards < 0 {
+		return pcfg, fmt.Errorf("config: shards %d is negative", c.Shards)
 	}
-	if c.Faults != nil && c.Faults.ToFault().Active() {
-		return pcfg, Unsupported("sharded", "faults",
-			"drop the faults section; fault injection is single-log only, and elchaos -campaign -shards crash-tests sharded runs")
-	}
-	if c.NumObjects%uint64(c.Shards) != 0 {
-		return pcfg, fmt.Errorf("config: %d objects do not split evenly over %d shards", c.NumObjects, c.Shards)
+	shards := max(1, c.Shards)
+	if c.NumObjects%uint64(shards) != 0 {
+		return pcfg, fmt.Errorf("config: %d objects do not split evenly over %d shards", c.NumObjects, shards)
 	}
 	hcfg, err := c.ToHarness()
 	if err != nil {
@@ -250,12 +248,12 @@ func (c SimConfig) ToPDES() (multilog.PDESConfig, error) {
 	}
 	pcfg = multilog.PDESConfig{
 		Seed:      hcfg.Seed,
-		Shards:    c.Shards,
+		Shards:    shards,
 		LM:        hcfg.LM,
 		Flush:     hcfg.Flush,
 		Workload:  hcfg.Workload,
 		CrossFrac: c.CrossFrac,
 	}
-	pcfg.Flush.NumObjects = c.NumObjects / uint64(c.Shards)
+	pcfg.Flush.NumObjects = c.NumObjects / uint64(shards)
 	return pcfg, nil
 }

@@ -1,7 +1,6 @@
 package config
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -150,23 +149,27 @@ func TestDefaultConfigRuns(t *testing.T) {
 	}
 }
 
-// TestUnsupportedCombos pins the structured rejection: callers must be
-// able to errors.As for the exact feature pair instead of matching
-// message strings.
-func TestUnsupportedCombos(t *testing.T) {
-	t.Run("sharded+faults", func(t *testing.T) {
-		cfg := Default()
-		cfg.Shards = 2
-		cfg.Faults = &FaultsJSON{Seed: 1, WriteFailProb: 0.1}
-		_, err := cfg.ToPDES()
-		var combo UnsupportedCombo
-		if !errors.As(err, &combo) {
-			t.Fatalf("ToPDES returned %v, want UnsupportedCombo", err)
-		}
-		if combo.Feature != "sharded" || combo.Other != "faults" {
-			t.Fatalf("combo = %+v", combo)
-		}
-	})
+// TestToPDESAcceptsFaultsAndOneShard: a configuration without a shard
+// count is a 1-shard run, and a faults section converts on a sharded
+// configuration like on any other — the plan is attached per shard.
+func TestToPDESAcceptsFaultsAndOneShard(t *testing.T) {
+	cfg := Default()
+	cfg.Faults = &FaultsJSON{Seed: 1, WriteFailProb: 0.1}
+	pcfg, err := cfg.ToPDES()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pcfg.Shards != 1 || pcfg.Flush.NumObjects != cfg.NumObjects {
+		t.Fatalf("unsharded config = %d shards of %d objects, want 1 of %d", pcfg.Shards, pcfg.Flush.NumObjects, cfg.NumObjects)
+	}
+	cfg.Shards = 2
+	if pcfg, err = cfg.ToPDES(); err != nil || pcfg.Shards != 2 {
+		t.Fatalf("sharded faulty config: %d shards, %v", pcfg.Shards, err)
+	}
+	cfg.Shards = -1
+	if _, err := cfg.ToPDES(); err == nil {
+		t.Fatal("negative shard count accepted")
+	}
 }
 
 // TestToPDESArrivalRatePerShard pins what one configuration means on a

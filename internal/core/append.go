@@ -286,26 +286,16 @@ func (m *Manager) writeFailed(b *buffer) {
 }
 
 // abandonWrite gives up on a block whose write errored past the retry
-// budget. Every live record riding in the buffer is resolved by whether
-// its transaction's outcome can still become durable:
-//
-//   - an active transaction, and a committing or preparing one whose
-//     COMMIT or PREPARE was in the dead block, is killed — its outcome
-//     record never becomes durable, so no one has been or will be told
-//     it committed (the kill-on-overflow contract);
-//   - a committing or preparing transaction whose COMMIT or PREPARE rides
-//     in another buffer, and a prepared (in-doubt) branch, is not: that
-//     record becomes (or is) durable, recovery calls the transaction a
-//     winner or in doubt, and its records must be on disk. They are
-//     re-logged at the generation's tail. A re-logged record that had been
-//     moved here keeps its origin block sheltered until the new copy is
-//     durable, since that block holds its only durable copy;
-//   - a committed update is force flushed to the stable database, and a
-//     committed transaction's tx record is retired by flushing its
-//     remaining updates.
-//
-// Afterwards nothing references the block, so its slot is reclaimable as
-// all-garbage.
+// budget, resolving every live record aboard by whether its transaction's
+// outcome can still become durable. An active transaction, and a
+// committing or preparing one whose COMMIT or PREPARE was in the dead
+// block, is killed: no one was or will be told it committed. Any other
+// committing, preparing or prepared transaction's records are re-logged at
+// the tail, since its outcome record is or will be durable and recovery
+// will need them; one moved here keeps its origin block sheltered until
+// the new copy is durable. Committed updates are force flushed, and
+// committed tx records retired by flushing. Afterwards nothing references
+// the block, so its slot is reclaimable as all-garbage.
 func (m *Manager) abandonWrite(b *buffer) {
 	g := b.gen
 	m.abandonedWrites.Inc()

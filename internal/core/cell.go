@@ -25,11 +25,8 @@ type cell struct {
 	// durable. It decides who recycles rec: the buffer when its write ends,
 	// or the cell when it dies with no buffer holding the record.
 	buf *buffer
-	// origin is the block rec was last moved out of (forwarding,
-	// recirculation, regeneration) while that block still held its only
-	// durable copy; nil for a record that entered the log in buf. Read only
-	// while buf is set: abandonWrite keeps it sheltered for a re-logged
-	// record.
+	// origin is the block holding rec's only durable copy while buf is set
+	// (the block it was moved out of); nil for a record new to the log.
 	origin *slot
 
 	obj        *lotEntry // owning LOT entry (data records only)

@@ -219,6 +219,14 @@ func (p *Plan) Stats() Stats {
 	}
 }
 
+// Add accumulates o into s: the totals of several plans, one per shard.
+func (s *Stats) Add(o Stats) {
+	s.WriteFails += o.WriteFails
+	s.Corruptions += o.Corruptions
+	s.Slowdowns += o.Slowdowns
+	s.Stalls += o.Stalls
+}
+
 // Attach wires a plan into a live setup: the log device gets the injector,
 // the flush array gets the stall hook, and the manager's bounded
 // retry-with-backoff path is armed. Returns the attached plan.

@@ -24,6 +24,7 @@ import (
 	"strings"
 
 	"ellog/internal/core"
+	"ellog/internal/fault"
 	"ellog/internal/logrec"
 	"ellog/internal/metrics"
 	"ellog/internal/sim"
@@ -165,6 +166,24 @@ func BuildPDES(cfg PDESConfig) (*PDESLive, error) {
 // Run executes the simulation to the configured workload runtime.
 func (pl *PDESLive) Run() {
 	pl.PE.Run(pl.cfg.Workload.Runtime)
+}
+
+// AttachFaults arms one fault plan per shard, LP-locally like everything
+// else a shard does. Shard i's seed is fc.Seed moved by i golden-ratio
+// strides: shard 0 draws from exactly fc.Seed, so a 1-shard faulty run is
+// the single-log run with fc attached.
+func (pl *PDESLive) AttachFaults(fc fault.Config) ([]*fault.Plan, error) {
+	plans := make([]*fault.Plan, len(pl.Shards))
+	for i, s := range pl.Shards {
+		sfc := fc
+		sfc.Seed += uint64(i) * 0x9e3779b97f4a7c15
+		p, err := fault.Attach(s.Setup, sfc)
+		if err != nil {
+			return nil, fmt.Errorf("multilog: shard %d: %w", i, err)
+		}
+		plans[i] = p
+	}
+	return plans, nil
 }
 
 // RunPDES builds, runs and summarizes a sharded run.
@@ -381,9 +400,5 @@ func (st PDESStats) String() string {
 	}
 	fmt.Fprintf(&b, "  log: %d blocks, %d writes, %.2f writes/s, %d space kills, mem peak bound %.0f B\n",
 		st.TotalBlocks, st.TotalWrites, st.Bandwidth, st.Killed, st.MemPeakBound)
-	for i, lm := range st.PerShard {
-		fmt.Fprintf(&b, "  shard %d: %d begun, %d committed, %d writes, %d recs in, %d forwarded, %d recirculated\n",
-			i, lm.Begins, lm.Commits, lm.TotalWrites, lm.AppendedRecs, lm.Forwarded, lm.Recirculated)
-	}
 	return b.String()
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ellog/internal/core"
+	"ellog/internal/fault"
 	"ellog/internal/harness"
 	"ellog/internal/logrec"
 	"ellog/internal/recovery"
@@ -179,6 +180,99 @@ func TestPDESCrossCommitsAndRecovers(t *testing.T) {
 	}
 	if err := recovery.VerifyOracle(merged, oracle); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPDESWriteFailuresKeepAckedCommits composes fault injection with
+// sharding: three shards, each with its own fault plan, under transient
+// write failures at three rates, with and without cross-shard 2PC
+// traffic. Abandoned blocks then carry participant branches that are
+// preparing or already prepared, coordinators whose DECIDE died with the
+// block, and committing branches whose COMMIT rides elsewhere. After a
+// drain every shard's bookkeeping must be intact and the whole machine's
+// crash image must recover exactly the acknowledged commits, both
+// branches of every cross-shard one included.
+func TestPDESWriteFailuresKeepAckedCommits(t *testing.T) {
+	var runs, failed, abandoned int
+	var crossAborts uint64
+	for _, cross := range []float64{0, 0.3} {
+		for _, wf := range []float64{0.25, 0.4, 0.5} {
+			for seed := uint64(1); seed <= 30; seed++ {
+				err := func() error {
+					live, err := BuildPDES(smallPDES(3, cross, seed))
+					if err != nil {
+						return err
+					}
+					if _, err := live.AttachFaults(fault.Config{Seed: seed, WriteFailProb: wf}); err != nil {
+						return err
+					}
+					live.Run()
+					live.PE.Run(live.PE.LP(0).Now() + 30*sim.Second)
+					st := live.Stats()
+					for i, s := range live.Shards {
+						if err := s.Setup.LM.CheckInvariants(); err != nil {
+							return fmt.Errorf("shard %d: %w", i, err)
+						}
+						if st.PerShard[i].AbandonedWrites > 0 {
+							abandoned++
+						}
+					}
+					crossAborts += st.CrossAborted
+					merged, _, err := RecoverAll(live.Setups(), 0)
+					if err != nil {
+						return err
+					}
+					return recovery.VerifyOracle(merged, live.Oracle())
+				}()
+				runs++
+				if err != nil {
+					failed++
+					t.Errorf("cross %.1f, write-fail %.2f, seed %d: %v", cross, wf, seed, err)
+				}
+			}
+		}
+	}
+	if abandoned == 0 || crossAborts == 0 {
+		t.Fatalf("sweep without power: %d shards abandoned a block write, %d cross-shard aborts", abandoned, crossAborts)
+	}
+	if failed > 0 {
+		t.Errorf("%d of %d runs failed", failed, runs)
+	}
+}
+
+// A 1-shard faulty run is the single-log run with the same plan attached:
+// shard 0's plan draws from exactly the configured fault seed.
+func TestPDESSingleShardFaultsReduceToHarness(t *testing.T) {
+	cfg := smallPDES(1, 0, 5)
+	fc := fault.Config{Seed: 11, WriteFailProb: 0.4, SlowProb: 0.2}
+	seqCfg := harness.Config{Seed: cfg.Seed, LM: cfg.LM, Flush: cfg.Flush, Workload: cfg.Workload}
+	seqCfg.Workload.NumObjects = cfg.Flush.NumObjects
+	seq, err := harness.Build(seqCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := fault.Attach(seq.Setup, fc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq.Setup.Eng.Run(cfg.Workload.Runtime)
+	live, err := BuildPDES(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans, err := live.AttachFaults(fc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live.Run()
+	if plan.Stats().WriteFails == 0 {
+		t.Fatal("the plan injected nothing; the comparison has no power")
+	}
+	if got, want := plans[0].Stats(), plan.Stats(); got != want {
+		t.Fatalf("fault stats diverged: pdes %+v, harness %+v", got, want)
+	}
+	if got, want := live.Shards[0].Setup.LM.Stats(), seq.Setup.LM.Stats(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("LM stats diverged:\nharness: %+v\npdes:    %+v", want, got)
 	}
 }
 

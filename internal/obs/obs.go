@@ -128,6 +128,15 @@ func (o *Observer) Close() error {
 	return first
 }
 
+// ShardPath names shard i's copy of an n-shard run's output file: path
+// itself for one shard or an unset path, path.lpI otherwise.
+func ShardPath(path string, i, n int) string {
+	if n == 1 || path == "" {
+		return path
+	}
+	return fmt.Sprintf("%s.lp%d", path, i)
+}
+
 // SetupTargets names a simulated setup's components as probe targets.
 func SetupTargets(s *core.Setup) ProbeTargets {
 	return ProbeTargets{LM: s.LM, Dev: s.Dev, Flush: s.Flush}
